@@ -119,7 +119,9 @@ def parseval_mean_square(y: float, T: float, k_max: int, n_max: int) -> tuple[fl
     is accumulated exactly and added to the truncation radius.
     """
     spectrum = cosine_spectrum(y, T, k_max, n_max)
-    value = 0.5 * compensated_sum(spectrum.coeffs**2)
+    # square in place: the spectrum is private here, and a second k_max
+    # array would double this function's peak memory
+    value = 0.5 * compensated_sum(np.square(spectrum.coeffs, out=spectrum.coeffs))
 
     dropped = 0.0
     M, hw, _ = _rows(y, T)

@@ -88,9 +88,13 @@ def shear_mod_one(x: float) -> float:
 
     The lattice is invariant under x -> x + 1 (the index n absorbs the
     shift), so every counting routine reduces first; this makes the
-    1-periodicity of counts exact in floating point as well.
+    1-periodicity of counts exact in floating point as well.  For tiny
+    negative x the difference x - floor(x) rounds up to 1.0; that is x = 0
+    to working precision and is returned as 0.0, so the result stays in
+    [0, 1).
     """
-    return x - math.floor(x)
+    r = x - math.floor(x)
+    return 0.0 if r == 1.0 else r
 
 
 def scaled_radius(z_or_y, T: float) -> float:

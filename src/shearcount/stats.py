@@ -5,7 +5,10 @@ gains or loses a point exactly when one of its interval endpoints
 -+hw_m - m*x crosses an integer.  Enumerating those crossings gives the
 exact jump set (:func:`breakpoints`), and integrating the piecewise constant
 remainder over the segments gives the period mean and mean square up to
-floating accumulation (:func:`mean_square_breakpoints`).  A midpoint-grid
+floating accumulation (:func:`mean_square_breakpoints`).  The crossings of
+all rows are built in one vectorised pass and merged by one in-place sort of
+int64 keys: crossings closer than 1e-13 share a key, so coincident jumps are
+summed exactly in integers, independent of their order.  A midpoint-grid
 fallback (:func:`mean_square_grid`) covers regimes where the jump set would
 not fit in memory, and :func:`mean_square_parseval` assembles the mean
 square from the cosine spectrum instead of a sweep.
@@ -39,8 +42,9 @@ from .lattice import (
     halfwidths,
     row_limit,
     scaled_radius,
+    shear_mod_one,
 )
-from .numerics import compensated_sum, frac_snapped, snap_integer
+from .numerics import compensated_sum, frac_snapped, snap_integer, snap_integers
 
 __all__ = [
     "MAX_SWEEP_EVENTS",
@@ -64,7 +68,8 @@ __all__ = [
 #: Refuse breakpoint sweeps whose projected event count exceeds this.
 MAX_SWEEP_EVENTS = 10**8
 
-_MERGE_DECIMALS = 13  # jump locations are merged after rounding to 1e-13
+_MERGE_SCALE = 10**13  # jump locations are merged on the grid of 1e-13
+_ANCHOR_PROBES = 64
 
 
 @dataclass(frozen=True)
@@ -85,10 +90,6 @@ class BreakpointSweep:
     base_count: int
     axis_tie: bool
 
-    @property
-    def points(self) -> list[tuple[float, int]]:
-        return [(float(x), int(d)) for x, d in zip(self.xs, self.deltas)]
-
     def segment_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """(lengths, strict counts) of the constant segments partitioning [0, 1]."""
         edges = np.concatenate([[0.0], self.xs, [1.0]])
@@ -98,8 +99,7 @@ class BreakpointSweep:
 
     def count_at(self, x: float) -> int:
         """Strict count at a non-jump shear coordinate (x taken mod 1)."""
-        xf = x - math.floor(x)
-        idx = int(np.searchsorted(self.xs, xf, side="right"))
+        idx = int(np.searchsorted(self.xs, shear_mod_one(x), side="right"))
         return int(self.base_count + (int(np.sum(self.deltas[:idx])) if idx else 0))
 
 
@@ -154,8 +154,22 @@ def breakpoints(y: float, T: float, tie_eps: float = DEFAULT_TIE_EPS) -> Breakpo
     Row m > 0 (always together with its mirror -m) loses a point when
     hw_m - m*x crosses an integer from above, at x = (hw_m - n)/m, and gains
     one when -hw_m - m*x does, at x = (-hw_m - n)/m; only crossings interior
-    to (0, 1) are events.  Projected event counts beyond MAX_SWEEP_EVENTS
-    raise RangeExceeded (use the grid integrator there).
+    to (0, 1) are events.
+
+    The half-widths of all rows are snapped at once and every row's
+    crossings are laid out in one array with np.repeat over the per-row
+    counts.  Crossing x gets the int64 key 2*k + [entry] with
+    k = rint(x*1e13), which groups exactly as np.round(x, 13) does.  One
+    in-place sort of the keys, a slice to 0 < k < 1e13 and np.add.reduceat
+    over the runs of equal k give the merged jumps; zero sums are dropped
+    and the positions are k/1e13.  Working memory peaks at about 33 bytes
+    per raw event: the 8-byte key and a byte of group mask per event, plus
+    24 bytes per group of coincident crossings.
+
+    Projected event counts beyond MAX_SWEEP_EVENTS raise RangeExceeded (use
+    the grid integrator there).  So does an anchor search that finds no
+    tie-free point in the first segment, instead of anchoring on a tied
+    count.
     """
     if not (y > 0 and math.isfinite(T) and T > 0):
         raise InvalidParameter(f"need y > 0 and T > 0, got y={y}, T={T}")
@@ -165,56 +179,63 @@ def breakpoints(y: float, T: float, tie_eps: float = DEFAULT_TIE_EPS) -> Breakpo
         )
     scaled = scaled_radius(y, T)
     M = row_limit(scaled, tie_eps)
-    sy = math.sqrt(y)
+    ms = np.arange(1, M + 1, dtype=float)
+    g, _ = snap_integers(halfwidths(y, T, ms), tie_eps)
 
-    xs_parts: list[np.ndarray] = []
-    delta_parts: list[np.ndarray] = []
-    if M > 0:
-        hw = halfwidths(y, T, np.arange(1, M + 1, dtype=float))
-        for m in range(1, M + 1):
-            g, _ = snap_integer(float(hw[m - 1]), tie_eps)
-            # exits: integers strictly inside (g - m, g)
-            n = np.arange(math.floor(g - m) + 1, math.ceil(g))
-            x = (g - n) / m
-            xs_parts.append(x)
-            delta_parts.append(np.full(x.size, -2, dtype=np.int64))
-            # entries: integers strictly inside (-g - m, -g)
-            n = np.arange(math.floor(-g - m) + 1, math.ceil(-g))
-            x = (-g - n) / m
-            xs_parts.append(x)
-            delta_parts.append(np.full(x.size, 2, dtype=np.int64))
+    # Half-rows 0..M-1 hold the exits x = (g - n)/m, half-rows M..2M-1 the
+    # entries x = (-g - n)/m; n runs over the integers strictly inside
+    # (c - m, c) for the half-row's centre c.
+    centre = np.concatenate([g, -g])
+    width = np.concatenate([ms, ms])
+    first = np.floor(centre - width) + 1.0
+    counts = np.maximum(np.ceil(centre) - first, 0.0).astype(np.int64)
+    x = np.arange(int(np.sum(counts)), dtype=float)  # n first, then x in place
+    x -= np.repeat(np.cumsum(counts) - counts - first, counts)
+    np.subtract(np.repeat(centre, counts), x, out=x)
+    x /= np.repeat(width, counts)
 
-    if xs_parts:
-        xs = np.round(np.concatenate(xs_parts), _MERGE_DECIMALS)
-        deltas = np.concatenate(delta_parts)
-        inside = (xs > 0.0) & (xs < 1.0)
-        xs, deltas = xs[inside], deltas[inside]
-        order = np.argsort(xs, kind="stable")
-        xs, deltas = xs[order], deltas[order]
-        starts = np.flatnonzero(np.r_[True, np.diff(xs) > 0.0])
-        sums = np.add.reduceat(deltas, starts) if xs.size else deltas
-        xs = xs[starts]
-        keep = sums != 0
-        xs, deltas = xs[keep], sums[keep]
-    else:
-        xs = np.empty(0)
-        deltas = np.empty(0, dtype=np.int64)
+    # Merge key: k = rint(x * 1e13) is exactly the grouping of
+    # np.round(x, 13), and the low bit of 2k + [entry] keeps the sign.
+    x *= _MERGE_SCALE
+    np.rint(x, out=x)
+    keys = x.astype(np.int64)
+    del x
+    keys <<= 1
+    keys[int(np.sum(counts[:M])):] += 1  # the entries follow every exit
+    keys.sort()
+    keys = keys[np.searchsorted(keys, 2) : np.searchsorted(keys, 2 * _MERGE_SCALE)]  # 0 < k < 1e13
+    opens = np.ones(keys.size, dtype=bool)  # keys[i] starts a new k
+    np.greater(keys[1:], keys[:-1] | 1, out=opens[1:])
+    starts = np.flatnonzero(opens)
+    k = keys[starts] >> 1
+    keys &= 1  # the low bit becomes the jump: exits -2, entries +2
+    keys <<= 2
+    keys -= 2
+    sums = np.add.reduceat(keys, starts)
+    del keys, starts  # free per-event arrays before the per-group gathers
+    keep = sums != 0
+    deltas = sums[keep]
+    del sums
+    xs = k[keep] / _MERGE_SCALE
 
     # Anchor the running count at a tie-free point of the first segment;
     # cancelled event pairs can leave tie locations that no longer appear in
     # xs, so shrink deterministically until the row counter is unambiguous.
     # An axis tie (integer sqrt(y)*T) flags one tie at every x; only the
     # x-dependent ties must be avoided.
-    _, axis_tie = snap_integer(sy * T, tie_eps)
+    _, axis_tie = snap_integer(math.sqrt(y) * T, tie_eps)
     baseline_ties = 1 if axis_tie else 0
     x_base = float(xs[0]) / 2.0 if xs.size else 0.5
-    for _ in range(64):
+    for _ in range(_ANCHOR_PROBES):
         anchor = count_rowslice(ShearPoint(x_base, y), T, tie_eps)
         if anchor.ties <= baseline_ties:
             break
         x_base *= 0.6180339887498949
-    base = anchor.count
-    return BreakpointSweep(y=y, T=T, xs=xs, deltas=deltas, base_count=base, axis_tie=axis_tie)
+    else:
+        raise RangeExceeded(
+            f"no tie-free anchor in the first segment after {_ANCHOR_PROBES} probes at y={y}, T={T}"
+        )
+    return BreakpointSweep(y=y, T=T, xs=xs, deltas=deltas, base_count=anchor.count, axis_tie=axis_tie)
 
 
 def _report_from_integral(

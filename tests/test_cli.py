@@ -64,6 +64,13 @@ def test_meansquare_constant_case(capsys):
     assert float(row.split(",")[2]) == pytest.approx(0.046053948273188315, abs=1e-12)
 
 
+def test_meansquare_with_empty_jump_set(capsys):
+    # y = 2, T = 2: the only occupied rows have half-width 2, so no jumps
+    code, out, _ = run(["meansquare", "--y", "2", "--radius", "2"], capsys)
+    assert code == 0
+    assert out.strip().splitlines()[1].split(",")[7] == "0"
+
+
 def test_meansquare_grid_close_to_breakpoints(capsys):
     code, out_b, _ = run(["meansquare", "--y", "1", "--radius", "20", "--integrator", "breakpoints"], capsys)
     assert code == 0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from shearcount import (
@@ -16,6 +16,7 @@ from shearcount import (
     count_decomposition,
     count_enumerate,
     count_formula,
+    count_rowslice,
     inscribed_polygon_area,
     oscillatory_sum,
     remainder,
@@ -125,10 +126,16 @@ def test_oscillatory_single_row_values():
 
 
 @given(st.floats(-2.0, 2.0), st.floats(0.5, 4.0), st.floats(1.0, 20.0, exclude_min=True))
+@example(-3.0386062255941586e-55, 0.5, 4.0)  # x - floor(x) rounds to 1.0 here
 def test_oscillatory_symmetries(x, y, T):
     base = oscillatory_sum(ShearPoint(x, y), T)
     assert oscillatory_sum(ShearPoint(-x, y), T) == pytest.approx(base, abs=1e-10)
     assert oscillatory_sum(ShearPoint(x + 1.0, y), T) == pytest.approx(base, abs=1e-10)
+
+
+def test_tiny_negative_shear_reduces_to_zero():
+    z = ShearPoint(-3.0386062255941586e-55, 0.5)
+    assert count_formula(z, 4.0).count == count_rowslice(z, 4.0).count == count_enumerate(z, 4.0).count == 47
 
 
 # ---- decomposition ----

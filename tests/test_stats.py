@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shearcount import (
+    CountResult,
     InvalidParameter,
     RangeExceeded,
     ShearPoint,
@@ -25,8 +26,60 @@ from shearcount import (
     sweep,
     write_sweep_csv,
 )
+from shearcount.lattice import halfwidths, row_limit, scaled_radius
+from shearcount.numerics import snap_integer
 
 MEAN_GRID = [(y, T) for T in (1.5, 7.3, 20.0, 50.0) for y in (0.7, 1.0, 2.5)]
+INTEGER_GRID = [(y, float(T)) for y in (1.0, 2.0, 4.0) for T in range(1, 41)]
+
+
+def _reference_breakpoints(y, T, tie_eps=1e-12):
+    """Per-row event loop with a stable float argsort: the reference that
+    ``breakpoints`` must reproduce byte for byte.  Returns
+    (xs, deltas, base_count, axis_tie)."""
+    M = row_limit(scaled_radius(y, T), tie_eps)
+    xs_parts, delta_parts = [], []
+    if M > 0:
+        hw = halfwidths(y, T, np.arange(1, M + 1, dtype=float))
+        for m in range(1, M + 1):
+            g, _ = snap_integer(float(hw[m - 1]), tie_eps)
+            n = np.arange(math.floor(g - m) + 1, math.ceil(g))
+            xs_parts.append((g - n) / m)
+            delta_parts.append(np.full(n.size, -2, dtype=np.int64))
+            n = np.arange(math.floor(-g - m) + 1, math.ceil(-g))
+            xs_parts.append((-g - n) / m)
+            delta_parts.append(np.full(n.size, 2, dtype=np.int64))
+    xs = np.empty(0)
+    deltas = np.empty(0, dtype=np.int64)
+    if xs_parts:
+        xs = np.round(np.concatenate(xs_parts), 13)
+        deltas = np.concatenate(delta_parts)
+        inside = (xs > 0.0) & (xs < 1.0)
+        xs, deltas = xs[inside], deltas[inside]
+        order = np.argsort(xs, kind="stable")
+        xs, deltas = xs[order], deltas[order]
+    if xs.size:
+        starts = np.flatnonzero(np.r_[True, np.diff(xs) > 0.0])
+        sums = np.add.reduceat(deltas, starts)
+        keep = sums != 0
+        xs, deltas = xs[starts][keep], sums[keep]
+    _, axis_tie = snap_integer(math.sqrt(y) * T, tie_eps)
+    x_base = float(xs[0]) / 2.0 if xs.size else 0.5
+    for _ in range(64):
+        anchor = count_rowslice(ShearPoint(x_base, y), T, tie_eps)
+        if anchor.ties <= (1 if axis_tie else 0):
+            break
+        x_base *= 0.6180339887498949
+    return xs, deltas, anchor.count, axis_tie
+
+
+def _assert_same_as_reference(y, T):
+    sw = breakpoints(y, T)
+    xs, deltas, base_count, axis_tie = _reference_breakpoints(y, T)
+    assert sw.xs.tobytes() == xs.tobytes()
+    assert sw.deltas.tobytes() == deltas.tobytes()
+    assert sw.deltas.dtype == deltas.dtype
+    assert (sw.base_count, sw.axis_tie) == (base_count, axis_tie)
 
 
 # ---- breakpoints ----
@@ -67,10 +120,45 @@ def test_breakpoints_range_guard():
 
 @settings(max_examples=25)
 @given(st.floats(0.5, 4.0), st.floats(1.0, 30.0, exclude_min=True), st.integers(0, 10**6))
+@example(y=2.0, T=2.0, salt=0)
 def test_reconstruction_equals_rowslice(y, T, salt):
     sw = breakpoints(y, T)
     x = (salt + 0.5) / (10**6 + 1)
     assert sw.count_at(x) == count_rowslice(ShearPoint(x, y), T).count
+
+
+# Every occupied row has an integer half-width, so every crossing lands on
+# x = 0 and the count is constant.
+@pytest.mark.parametrize("y,T,count", [(2.0, 2.0, 13), (1.0, math.sqrt(2.0), 7), (4.0, math.sqrt(5.0), 17)])
+def test_integer_halfwidths_give_empty_jump_set(y, T, count):
+    sw = breakpoints(y, T)
+    assert sw.xs.size == 0 and sw.deltas.dtype == np.int64
+    for x in (1e-9, 0.25, 0.5, 0.999):
+        assert sw.count_at(x) == count_rowslice(ShearPoint(x, y), T).count == count
+    rep = mean_square_breakpoints(y, T)
+    assert abs(rep.mean_remainder - mean_remainder_closed(y, T)) <= 1e-9 * (1.0 + math.pi * T * T)
+    assert rep.breakpoint_count == 0
+
+
+def test_breakpoints_refuse_a_tied_anchor(monkeypatch):
+    import shearcount.stats as stats
+
+    monkeypatch.setattr(stats, "count_rowslice", lambda z, T, eps: CountResult(count=0, ties=3, method="rowslice"))
+    with pytest.raises(RangeExceeded, match=r"y=1\.0, T=7\.7"):
+        breakpoints(1.0, 7.7)
+
+
+# ---- byte identity with the per-row reference ----
+
+def test_breakpoints_match_reference_on_integer_grid_and_merge_heavy_row():
+    for y, T in INTEGER_GRID + [(1.0, 500.0)]:
+        _assert_same_as_reference(y, T)
+
+
+@settings(max_examples=40)
+@given(st.floats(0.3, 5.0), st.floats(0.5, 60.0))
+def test_breakpoints_match_reference(y, T):
+    _assert_same_as_reference(y, T)
 
 
 # ---- exact mean square ----
