@@ -18,7 +18,6 @@ from .fourier import cosine_spectrum, write_spectrum_csv
 from .lattice import ShearPoint, count_enumerate, count_rowslice
 from .stats import (
     SweepConfig,
-    default_threads,
     mean_square_breakpoints,
     mean_square_grid,
     mean_square_parseval,
@@ -155,18 +154,17 @@ def _cmd_sweep(args) -> int:
             raise _UsageError("--radius-min must not exceed --radius-max")
     if args.threads is not None and args.threads < 1:
         raise _UsageError(f"--threads must be >= 1, got {args.threads}")
+    y_values = tuple(_positive(y, "--y") for y in args.y) if args.y else (1.0,)
     config = SweepConfig(
-        y_values=tuple(args.y) if args.y else (1.0,),
+        y_values=y_values,
         radius_min=args.radius_min,
         radius_max=args.radius_max,
         samples=args.samples,
         log_spaced=args.log,
         integrator=args.integrator,
         grid_points=args.grid_points,
-        out=args.out,
     )
-    threads = args.threads if args.threads is not None else default_threads()
-    reports = sweep(config, threads=threads)
+    reports = sweep(config, threads=args.threads)
     try:
         with open(args.out, "w") as fh:
             write_sweep_csv(reports, fh, include_timing=args.timing)
@@ -176,7 +174,7 @@ def _cmd_sweep(args) -> int:
     failed = [r for r in reports if r.error]
     if reports and len(failed) == len(reports):
         print("error: every sweep row failed; see the error column", file=sys.stderr)
-        return EXIT_RANGE if any("exceeds" in r.error for r in failed) else EXIT_USAGE
+        return EXIT_RANGE if any(r.error_class is RangeExceeded for r in failed) else EXIT_USAGE
     return EXIT_OK
 
 

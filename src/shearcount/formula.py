@@ -31,12 +31,12 @@ from .lattice import (
     DEFAULT_TIE_EPS,
     CountResult,
     ShearPoint,
-    halfwidths,
-    row_limit,
-    scaled_radius,
+    count_enumerate,
+    count_rowslice,
+    rows,
     shear_mod_one,
 )
-from .numerics import compensated_sum, frac_snapped, snap_integer, snap_integers
+from .numerics import compensated_sum, frac_snapped, snap_integer
 
 __all__ = [
     "DecompositionResult",
@@ -81,17 +81,11 @@ def _sawtooth_arr(t: np.ndarray) -> np.ndarray:
 def chord_length_sum(T: float) -> float:
     """2 * sum over integers |m| < T of sqrt(T**2 - m**2), by direct summation.
 
-    Strictly positive for T > 0; cost O(T).
+    The rows are those of the unit-height lattice, rows(1.0, T).  Strictly
+    positive for T > 0; cost O(T).
     """
-    if not (math.isfinite(T) and T > 0):
-        raise InvalidParameter(f"radius must satisfy T > 0, got T={T}")
-    if T > 1e6:
-        raise RangeExceeded(f"radius {T} beyond the supported direct-summation range 1e6")
-    M = row_limit(T)
-    if M == 0:
-        return 2.0 * T
-    ms = np.arange(1, M + 1, dtype=float)
-    return 2.0 * T + 4.0 * compensated_sum(np.sqrt(T - ms) * np.sqrt(T + ms))
+    _, _, hw = rows(1.0, T)
+    return 2.0 * T + 4.0 * compensated_sum(hw)
 
 
 def chord_sum_error(T: float) -> float:
@@ -126,17 +120,7 @@ def oscillatory_sum(z: ShearPoint, T: float) -> float:
 
     Returns 0 when T/sqrt(y) <= 1 (empty sum); cost O(T/sqrt(y)).
     """
-    if not (math.isfinite(T) and T > 0):
-        raise InvalidParameter(f"radius must satisfy T > 0, got T={T}")
-    scaled = scaled_radius(z, T)
-    M = row_limit(scaled)
-    if M == 0:
-        return 0.0
-    ms = np.arange(1, M + 1, dtype=float)
-    hw = halfwidths(z.y, T, ms)
-    x = shear_mod_one(z.x)
-    terms = _sawtooth_arr(hw + ms * x) + _sawtooth_arr(hw - ms * x)
-    return 2.0 * compensated_sum(terms)
+    return count_decomposition(z, T).oscillatory
 
 
 def count_decomposition(z: ShearPoint, T: float) -> DecompositionResult:
@@ -146,19 +130,11 @@ def count_decomposition(z: ShearPoint, T: float) -> DecompositionResult:
     same rows that feed the sawtooth sum, so both pieces see identical
     half-width roundings.
     """
-    if not (math.isfinite(T) and T > 0):
-        raise InvalidParameter(f"radius must satisfy T > 0, got T={T}")
-    scaled = scaled_radius(z, T)
+    _, ms, hw = rows(z.y, T)
     sy = math.sqrt(z.y)
-    M = row_limit(scaled)
-    main = 2.0 * sy * T
-    osc = 0.0
-    if M > 0:
-        ms = np.arange(1, M + 1, dtype=float)
-        hw = halfwidths(z.y, T, ms)
-        x = shear_mod_one(z.x)
-        main += 4.0 * compensated_sum(hw)
-        osc = 2.0 * compensated_sum(_sawtooth_arr(hw + ms * x) + _sawtooth_arr(hw - ms * x))
+    x = shear_mod_one(z.x)
+    main = 2.0 * sy * T + 4.0 * compensated_sum(hw)
+    osc = 2.0 * compensated_sum(_sawtooth_arr(hw + ms * x) + _sawtooth_arr(hw - ms * x))
     corr = 1.0 - 2.0 * frac_snapped(sy * T)
     return DecompositionResult(main_term=main, oscillatory=osc, correction=corr, total=main + osc + corr)
 
@@ -166,31 +142,16 @@ def count_decomposition(z: ShearPoint, T: float) -> DecompositionResult:
 def count_formula(z: ShearPoint, T: float, tie_eps: float = DEFAULT_TIE_EPS) -> CountResult:
     """The decomposition rounded to an integer count, with tie diagnostics.
 
-    Ties are detected exactly as in the row-sliced count: a row is ambiguous
-    when hw_m -+ m*x is within tolerance of an integer (the sawtooth jump
+    The ties are those of the row-sliced count: a row is ambiguous when
+    hw_m -+ m*x is within tolerance of an integer (the sawtooth jump
     points), or when sqrt(y)*T is for the m = 0 row.
     """
-    if not tie_eps >= 0:
-        raise InvalidParameter(f"tie tolerance must be >= 0, got {tie_eps}")
-    dec = count_decomposition(z, T)
-    sy = math.sqrt(z.y)
-    _, tie0 = snap_integer(sy * T, tie_eps)
-    ties = 1 if tie0 else 0
-    M = row_limit(scaled_radius(z, T), tie_eps)
-    if M > 0:
-        ms = np.arange(1, M + 1, dtype=float)
-        hw = halfwidths(z.y, T, ms)
-        x = shear_mod_one(z.x)
-        _, tie_lo = snap_integers(hw - ms * x, tie_eps)
-        _, tie_hi = snap_integers(hw + ms * x, tie_eps)
-        ties += 2 * int(np.count_nonzero(tie_lo | tie_hi))
-    return CountResult(count=int(round(dec.total)), ties=ties, method="formula")
+    ties = count_rowslice(z, T, tie_eps).ties
+    return CountResult(count=int(round(count_decomposition(z, T).total)), ties=ties, method="formula")
 
 
 def remainder(z: ShearPoint, T: float, method: str = "rowslice") -> float:
     """count(z, T) - pi*T**2 with the count taken by the selected method."""
-    from .lattice import count_enumerate, count_rowslice  # local to keep import light
-
     if method == "enumerate":
         c = count_enumerate(z, T).count
     elif method == "rowslice":
@@ -210,8 +171,9 @@ def sawtooth_integral(T: float, M: int, tol: float = 1e-10) -> float:
 
     The integrand is analytic between consecutive integers (the sawtooth
     breakpoints), so each unit interval is handled by a 64-point Gauss
-    rule, with panels doubled until successive refinements agree to tol.
-    Satisfies 0 <= value <= M / (8*sqrt(T**2 - M**2)).
+    rule, with panels doubled until successive refinements agree to tol;
+    RangeExceeded is raised when 256 panels do not.  Satisfies
+    0 <= value <= M / (8*sqrt(T**2 - M**2)).
     """
     if not (math.isfinite(T) and T >= 1):
         raise InvalidParameter(f"need T >= 1, got {T}")
@@ -241,7 +203,9 @@ def sawtooth_integral(T: float, M: int, tol: float = 1e-10) -> float:
         prev = cur
         panels *= 2
         if panels > 256:
-            return cur  # integrand analytic; never reached in practice
+            raise RangeExceeded(
+                f"sawtooth integral not converged to tol={tol} after 256 panels at T={T}, M={M}"
+            )
 
 
 def circle_area_tail(T: float, a: float) -> float:

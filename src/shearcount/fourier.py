@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, RangeExceeded
-from .lattice import ShearPoint, halfwidths, row_limit, scaled_radius, shear_mod_one
-from .numerics import compensated_sum
+from .lattice import ShearPoint, rows, shear_mod_one
+from .numerics import chunk_sums, compensated_sum
 
 __all__ = [
     "FourierSpectrum",
@@ -43,8 +43,12 @@ __all__ = [
 
 _FOUR_OVER_PI = 4.0 / math.pi
 
-#: Hard ceiling on the coefficient array length (256 MiB of float64).
+#: Hard ceiling on k_max (cosine_spectrum's array is then 256 MiB of float64).
 MAX_COEFFICIENTS = 1 << 25
+
+#: Coefficients per block in parseval_mean_square (8 MiB); a multiple of the
+#: chunk whose partial sums compensated_sum adds, so blocks sum alike.
+_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -62,17 +66,8 @@ class FourierSpectrum:
     l2_truncation_bound: float
 
 
-def _rows(y: float, T: float) -> tuple[int, np.ndarray, float]:
-    scaled = scaled_radius(y, T)
-    M = row_limit(scaled)
+def _tail_l2_bound(scaled: float, M: int, n_max: int) -> float:
     if M == 0:
-        return 0, np.empty(0), scaled
-    ms = np.arange(1, M + 1, dtype=float)
-    return M, halfwidths(y, T, ms), scaled
-
-
-def _tail_l2_bound(scaled: float, rows: int, n_max: int) -> float:
-    if rows == 0:
         return 0.0
     # sum_{n > n_max} n**-2 <= 1/(n_max - 1) for n_max >= 2
     tail = 1.0 if n_max < 2 else 1.0 / (n_max - 1)
@@ -87,26 +82,35 @@ def cosine_spectrum(y: float, T: float, k_max: int, n_max: int) -> FourierSpectr
     total work is the number of retained (m, n) pairs and the summation
     order is fixed (bit-reproducible results).
     """
-    if not (y > 0 and T > 0):
-        raise InvalidParameter(f"need y > 0 and T > 0, got y={y}, T={T}")
+    scaled, _, hw = rows(y, T)
+    k_max, n_max = _truncation(k_max, n_max)
+    return FourierSpectrum(
+        k_max=k_max,
+        coeffs=_coefficients(hw, 1, k_max + 1, n_max),
+        n_max=n_max,
+        l2_truncation_bound=_tail_l2_bound(scaled, hw.size, n_max),
+    )
+
+
+def _truncation(k_max: int, n_max: int) -> tuple[int, int]:
     if k_max < 1 or n_max < 1 or k_max != int(k_max) or n_max != int(n_max):
         raise InvalidParameter(f"k_max and n_max must be positive integers, got {k_max}, {n_max}")
     if k_max > MAX_COEFFICIENTS:
         raise RangeExceeded(f"k_max={k_max} exceeds the supported {MAX_COEFFICIENTS}")
-    k_max, n_max = int(k_max), int(n_max)
-    M, hw, scaled = _rows(y, T)
-    coeffs = np.zeros(k_max)
-    for m in range(1, min(M, k_max) + 1):
-        n = np.arange(1, min(n_max, k_max // m) + 1, dtype=float)
-        coeffs[int(m) * np.arange(1, n.size + 1) - 1] += (
-            _FOUR_OVER_PI * np.sin(2.0 * math.pi * n * hw[m - 1]) / n
-        )
-    return FourierSpectrum(
-        k_max=k_max,
-        coeffs=coeffs,
-        n_max=n_max,
-        l2_truncation_bound=_tail_l2_bound(scaled, M, n_max),
-    )
+    return int(k_max), int(n_max)
+
+
+def _coefficients(hw: np.ndarray, k_lo: int, k_hi: int, n_max: int) -> np.ndarray:
+    """c_k for k_lo <= k < k_hi.  Each row m adds its terms to the progression
+    k = m*n through one strided view, in increasing m, so every c_k sums the
+    same terms in the same order whatever block it is computed in."""
+    out = np.zeros(k_hi - k_lo)
+    for m in range(1, min(hw.size, k_hi - 1) + 1):
+        n_lo, n_hi = -(-k_lo // m), min(n_max, (k_hi - 1) // m)
+        if n_lo <= n_hi:
+            n = np.arange(n_lo, n_hi + 1, dtype=float)
+            out[m * n_lo - k_lo :: m][: n.size] += _FOUR_OVER_PI * np.sin(2.0 * math.pi * n * hw[m - 1]) / n
+    return out
 
 
 def parseval_mean_square(y: float, T: float, k_max: int, n_max: int) -> tuple[float, float]:
@@ -117,14 +121,22 @@ def parseval_mean_square(y: float, T: float, k_max: int, n_max: int) -> tuple[fl
     and any retained (m, n) pair whose frequency m*n exceeds k_max (callers
     are advised to keep k_max >= n_max * floor(T/sqrt(y)) so there are none)
     is accumulated exactly and added to the truncation radius.
+
+    The coefficients are built and squared one block of _BLOCK frequencies
+    at a time, so no k_max-sized array is held.  The block sums are the
+    chunk partials compensated_sum would add, so the value has the same
+    bits as summing the whole squared spectrum.
     """
-    spectrum = cosine_spectrum(y, T, k_max, n_max)
-    # square in place: the spectrum is private here, and a second k_max
-    # array would double this function's peak memory
-    value = 0.5 * compensated_sum(np.square(spectrum.coeffs, out=spectrum.coeffs))
+    scaled, _, hw = rows(y, T)
+    M = hw.size
+    k_max, n_max = _truncation(k_max, n_max)
+    partials = []
+    for k_lo in range(1, k_max + 1, _BLOCK):
+        block = _coefficients(hw, k_lo, min(k_lo + _BLOCK, k_max + 1), n_max)
+        partials += chunk_sums(np.square(block, out=block))
+    value = 0.5 * (compensated_sum(block) if k_max <= _BLOCK else math.fsum(partials))
 
     dropped = 0.0
-    M, hw, _ = _rows(y, T)
     if M > 0 and M * n_max > k_max:
         ks, amps = [], []
         for m in range(1, M + 1):
@@ -141,7 +153,7 @@ def parseval_mean_square(y: float, T: float, k_max: int, n_max: int) -> tuple[fl
             sums = np.bincount(inv, weights=a_all, minlength=uniq.size)
             dropped = math.sqrt(0.5 * compensated_sum(sums**2))
 
-    eps = spectrum.l2_truncation_bound + dropped
+    eps = _tail_l2_bound(scaled, M, n_max) + dropped
     error_bound = 2.0 * math.sqrt(max(value, 0.0)) * eps + eps * eps
     return value, error_bound
 
@@ -154,18 +166,24 @@ def oscillatory_partial_sum(z: ShearPoint, T: float, n_max: int) -> float:
     """
     if n_max < 1 or n_max != int(n_max):
         raise InvalidParameter(f"n_max must be a positive integer, got {n_max}")
-    if not T > 0:
-        raise InvalidParameter(f"radius must satisfy T > 0, got T={T}")
-    M, hw, _ = _rows(z.y, T)
-    if M == 0:
+    _, _, hw = rows(z.y, T)
+    if hw.size == 0:
         return 0.0
     n = np.arange(1, int(n_max) + 1, dtype=float)
     x = shear_mod_one(z.x)
     total = 0.0
-    for m in range(1, M + 1):
+    for m in range(1, hw.size + 1):
         terms = np.sin(2.0 * math.pi * n * hw[m - 1]) * np.cos(2.0 * math.pi * m * n * x) / n
         total += compensated_sum(terms)
     return _FOUR_OVER_PI * total
+
+
+def _sin_squared(n: np.ndarray, two_pi_hw: np.ndarray) -> np.ndarray:
+    """sin(n * 2*pi*hw_m)**2 for every (n, m), in one array: the outer
+    product is the only chunk-sized allocation."""
+    block = np.outer(n, two_pi_hw)
+    np.sin(block, out=block)
+    return np.square(block, out=block)
 
 
 def mean_square_certificate(y: float, T: float, cutoff: int) -> float:
@@ -185,10 +203,9 @@ def mean_square_certificate(y: float, T: float, cutoff: int) -> float:
     """
     if cutoff != int(cutoff) or cutoff < 2:
         raise InvalidParameter(f"cutoff must be an integer >= 2, got {cutoff}")
-    if not (y > 0 and T > 0):
-        raise InvalidParameter(f"need y > 0 and T > 0, got y={y}, T={T}")
     A = int(cutoff)
-    M, hw, scaled = _rows(y, T)
+    scaled, _, hw = rows(y, T)
+    M = hw.size
     if M == 0:
         return 0.0
 
@@ -199,15 +216,13 @@ def mean_square_certificate(y: float, T: float, cutoff: int) -> float:
     head = 0.0
     for start in range(1, A + 1, chunk):
         n = np.arange(start, min(A, start + chunk - 1) + 1, dtype=float)
-        sin2 = np.sin(np.outer(n, two_pi_hw)) ** 2
-        head += float(np.sum(sin2.sum(axis=1) / n))
+        head += float(np.sum(_sin_squared(n, two_pi_hw).sum(axis=1) / n))
     head *= 0.5
 
     tail_sin = 0.0
     for start in range(A + 1, 10 * A + 1, chunk):
         n = np.arange(start, min(10 * A, start + chunk - 1) + 1, dtype=float)
-        sin2 = np.sin(np.outer(n, two_pi_hw)) ** 2
-        tail_sin += float(np.sum(sin2.sum(axis=1) / (n * n)))
+        tail_sin += float(np.sum(_sin_squared(n, two_pi_hw).sum(axis=1) / (n * n)))
     tail = 0.5 * (tail_sin + M / (10.0 * A))
 
     return 2.0 * _FOUR_OVER_PI**2 * (harmonic * head + scaled * tail)
@@ -221,7 +236,8 @@ def auto_truncation(y: float, T: float, rel_target: float = 0.01) -> tuple[int, 
     measured value whenever the value exceeds 0.1.  k_max is always
     n_max * (number of rows), so no retained pair is dropped.
     """
-    M, _, scaled = _rows(y, T)
+    scaled, _, hw = rows(y, T)
+    M = hw.size
     if M == 0:
         return 1, 1
     cert = mean_square_certificate(y, T, max(2, int(math.ceil(scaled))))

@@ -53,10 +53,9 @@ class ShearPoint:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InvalidParameter(f"shear point must be finite, got x={self.x}, y={self.y}")
-        if not self.y > 0:
-            raise InvalidParameter(f"shear height must satisfy y > 0, got y={self.y}")
+        if not math.isfinite(self.x):
+            raise InvalidParameter(f"shear coordinate x must be finite, got x={self.x}")
+        require_positive("y", self.y)
 
     def basis(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """The two generating vectors; their determinant is exactly 1."""
@@ -97,9 +96,23 @@ def shear_mod_one(x: float) -> float:
     return 0.0 if r == 1.0 else r
 
 
-def scaled_radius(z_or_y, T: float) -> float:
-    """T/sqrt(y), the number of occupied rows per sign; validates the regime."""
-    y = z_or_y.y if isinstance(z_or_y, ShearPoint) else float(z_or_y)
+def require_positive(name: str, value: float) -> None:
+    """Raise InvalidParameter unless value is a positive finite number."""
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidParameter(f"{name} must be positive and finite, got {name}={value}")
+
+
+def scaled_radius(y: float, T: float, tie_eps: float = DEFAULT_TIE_EPS) -> float:
+    """T/sqrt(y), the number of occupied rows per sign.
+
+    This is the parameter check of every public (y, T) entry point: y and T
+    must be positive and finite and tie_eps >= 0 (InvalidParameter), and
+    T/sqrt(y) must not exceed MAX_SCALED_RADIUS (RangeExceeded).
+    """
+    require_positive("y", y)
+    require_positive("T", T)
+    if not tie_eps >= 0:
+        raise InvalidParameter(f"tie tolerance must be >= 0, got tie_eps={tie_eps}")
     s = T / math.sqrt(y)
     if s > MAX_SCALED_RADIUS:
         raise RangeExceeded(
@@ -127,13 +140,16 @@ def halfwidths(y: float, T: float, ms: np.ndarray) -> np.ndarray:
     return sy * np.sqrt(T - ms * sy) * np.sqrt(T + ms * sy)
 
 
-def _validate(T: float, tie_eps: float, y: float) -> None:
-    if not (math.isfinite(T) and T > 0):
-        raise InvalidParameter(f"radius must satisfy T > 0, got T={T}")
-    if not tie_eps >= 0:
-        raise InvalidParameter(f"tie tolerance must be >= 0, got {tie_eps}")
-    if not y > 0:
-        raise InvalidParameter(f"shear height must satisfy y > 0, got y={y}")
+def rows(y: float, T: float, tie_eps: float = DEFAULT_TIE_EPS) -> tuple[float, np.ndarray, np.ndarray]:
+    """The row model shared by every counter, integrator and spectrum.
+
+    Checks (y, T, tie_eps) with :func:`scaled_radius` and returns
+    (scaled radius, rows ms = 1..M as floats, half-widths hw_m), where M is
+    :func:`row_limit` of the scaled radius; the rows -m mirror them.
+    """
+    scaled = scaled_radius(y, T, tie_eps)
+    ms = np.arange(1, row_limit(scaled, tie_eps) + 1, dtype=float)
+    return scaled, ms, halfwidths(y, T, ms)
 
 
 def count_enumerate(z: ShearPoint, T: float, tie_eps: float = DEFAULT_TIE_EPS) -> CountResult:
@@ -144,15 +160,14 @@ def count_enumerate(z: ShearPoint, T: float, tie_eps: float = DEFAULT_TIE_EPS) -
     Cost is proportional to the number of candidates, about 2*T**2 in total;
     this routine deliberately shares no logic with :func:`count_rowslice`.
     """
-    _validate(T, tie_eps, z.y)
-    scaled_radius(z, T)
+    scaled = scaled_radius(z.y, T, tie_eps)
     y, x = z.y, shear_mod_one(z.x)
     yT2 = y * T * T
     tol = tie_eps * yT2
 
     count = 0
     ties = 0
-    m_pad = int(math.floor(T / math.sqrt(y))) + 2
+    m_pad = int(math.floor(scaled)) + 2
     for m in range(-m_pad, m_pad + 1):
         rhs = yT2 - y * y * m * m
         if rhs < -tol:
@@ -175,26 +190,24 @@ def count_rowslice(z: ShearPoint, T: float, tie_eps: float = DEFAULT_TIE_EPS) ->
     difference floor(hw - m*x) - floor(-hw - m*x); at exact rational ties the
     snapped form keeps the strict-inequality semantics (boundary points are
     never counted).  ``ties`` counts rows whose interval endpoints fell within
-    tolerance of an integer.
+    tolerance of an integer, including the boundary rows +-R of an integer
+    scaled radius R, which touch the circle where R*x is an integer.
     """
-    _validate(T, tie_eps, z.y)
-    scaled = scaled_radius(z, T)
-    y, x = z.y, shear_mod_one(z.x)
-    sy = math.sqrt(y)
+    scaled, ms, hw = rows(z.y, T, tie_eps)
+    x = shear_mod_one(z.x)
 
     # m = 0 row: |n| < sqrt(y)*T, independent of x.
-    g0, tie0 = snap_integer(sy * T, tie_eps)
+    g0, tie0 = snap_integer(math.sqrt(z.y) * T, tie_eps)
     count = max(2 * int(math.ceil(g0)) - 1, 1)
     ties = 1 if tie0 else 0
 
-    M = row_limit(scaled, tie_eps)
-    if M > 0:
-        ms = np.arange(1, M + 1, dtype=float)
-        hw = halfwidths(y, T, ms)
-        lo, tie_lo = snap_integers(hw - ms * x, tie_eps)
-        hi, tie_hi = snap_integers(hw + ms * x, tie_eps)
-        # Rows m and -m hold the same number of points at every x.
-        per_row = np.ceil(lo) + np.ceil(hi) - 1.0
-        count += 2 * int(np.sum(np.maximum(per_row, 0.0)))
-        ties += 2 * int(np.count_nonzero(tie_lo | tie_hi))
+    lo, tie_lo = snap_integers(hw - ms * x, tie_eps)
+    hi, tie_hi = snap_integers(hw + ms * x, tie_eps)
+    # Rows m and -m hold the same number of points at every x.
+    per_row = np.ceil(lo) + np.ceil(hi) - 1.0
+    count += 2 * int(np.sum(np.maximum(per_row, 0.0)))
+    ties += 2 * int(np.count_nonzero(tie_lo | tie_hi))
+    R, edge = snap_integer(scaled, tie_eps)
+    if edge and snap_integer(R * x, tie_eps)[1]:
+        ties += 2
     return CountResult(count=count, ties=ties, method="rowslice")

@@ -27,8 +27,13 @@ def compensated_sum(values) -> float:
         return 0.0
     if arr.size <= _CHUNK:
         return math.fsum(arr.tolist())
-    partials = [float(np.sum(arr[i:i + _CHUNK])) for i in range(0, arr.size, _CHUNK)]
-    return math.fsum(partials)
+    return math.fsum(chunk_sums(arr))
+
+
+def chunk_sums(arr: np.ndarray) -> list[float]:
+    """The partials compensated_sum adds for arrays longer than one chunk:
+    np.sum over consecutive slices of 32768 entries."""
+    return [float(np.sum(arr[i:i + _CHUNK])) for i in range(0, arr.size, _CHUNK)]
 
 
 def snap_integer(u: float, rel_eps: float) -> tuple[float, bool]:

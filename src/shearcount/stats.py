@@ -39,8 +39,8 @@ from .lattice import (
     DEFAULT_TIE_EPS,
     ShearPoint,
     count_rowslice,
-    halfwidths,
-    row_limit,
+    require_positive,
+    rows,
     scaled_radius,
     shear_mod_one,
 )
@@ -110,7 +110,8 @@ class MeanSquareReport:
     ``upper_bound_value`` is (T/sqrt(y)) * max(1, log(T/sqrt(y)))**2
     + y**1.5 * T and ``ratio`` divides the mean square by it.  Rows produced
     inside a sweep carry a nonempty ``error`` instead of numbers when the
-    integrator refused the parameters.
+    integrator refused the parameters, and the refusal's exception class in
+    ``error_class`` (not written to CSV).
     """
 
     y: float
@@ -124,6 +125,7 @@ class MeanSquareReport:
     breakpoint_count: int
     elapsed_ms: float = 0.0
     error: str = ""
+    error_class: type | None = None
 
 
 @dataclass(frozen=True)
@@ -143,8 +145,10 @@ def mean_square_upper_bound(y: float, T: float) -> float:
     The log factor is clamped at 1 so the expression stays positive and
     monotone for small scaled radii.
     """
+    require_positive("y", y)
+    require_positive("T", T)
     scaled = T / math.sqrt(y)
-    log_term = max(1.0, math.log(scaled)) if scaled > 0 else 1.0
+    log_term = max(1.0, math.log(scaled))
     return scaled * log_term * log_term + y**1.5 * T
 
 
@@ -171,16 +175,13 @@ def breakpoints(y: float, T: float, tie_eps: float = DEFAULT_TIE_EPS) -> Breakpo
     tie-free point in the first segment, instead of anchoring on a tied
     count.
     """
-    if not (y > 0 and math.isfinite(T) and T > 0):
-        raise InvalidParameter(f"need y > 0 and T > 0, got y={y}, T={T}")
+    _, ms, hw = rows(y, T, tie_eps)
     if 2.0 * T * T / y > MAX_SWEEP_EVENTS:
         raise RangeExceeded(
             f"projected event count 2*T^2/y = {2 * T * T / y:.3g} exceeds {MAX_SWEEP_EVENTS:.0e}"
         )
-    scaled = scaled_radius(y, T)
-    M = row_limit(scaled, tie_eps)
-    ms = np.arange(1, M + 1, dtype=float)
-    g, _ = snap_integers(halfwidths(y, T, ms), tie_eps)
+    M = ms.size
+    g, _ = snap_integers(hw, tie_eps)
 
     # Half-rows 0..M-1 hold the exits x = (g - n)/m, half-rows M..2M-1 the
     # entries x = (-g - n)/m; n runs over the integers strictly inside
@@ -295,8 +296,6 @@ def mean_remainder_closed(y: float, T: float) -> float:
     so the mean is y * chord_length_sum(T/sqrt(y)) - pi*T**2
     + (1 - 2*frac(sqrt(y)*T)).
     """
-    if not (y > 0 and T > 0):
-        raise InvalidParameter(f"need y > 0 and T > 0, got y={y}, T={T}")
     scaled = scaled_radius(y, T)
     return (
         y * chord_length_sum(scaled)
@@ -314,6 +313,7 @@ def mean_square_grid(y: float, T: float, grid_points: int = 1 << 16) -> MeanSqua
     """
     if grid_points < 16 or grid_points != int(grid_points):
         raise InvalidParameter(f"grid_points must be an integer >= 16, got {grid_points}")
+    scaled_radius(y, T)
     t0 = time.perf_counter()
     G = int(grid_points)
     _, axis_tie = snap_integer(math.sqrt(y) * T, DEFAULT_TIE_EPS)
@@ -357,10 +357,9 @@ def lower_bound_witness(y: float, k: int) -> LowerBoundWitness:
     polygon (strictly positive), the mean is -y*deficit + (1 - 2*frac(k*y))
     and the mean square can never undercut the squared mean.
     """
-    if k != int(k) or k < 1:
+    if not (k >= 1 and float(k).is_integer()):
         raise InvalidParameter(f"need an integer k >= 1, got {k}")
-    if not y > 0:
-        raise InvalidParameter(f"need y > 0, got y={y}")
+    require_positive("y", y)
     k = int(k)
     T = k * math.sqrt(y)
     deficit = math.pi * k * k - chord_length_sum(float(k))
@@ -391,7 +390,6 @@ class SweepConfig:
     log_spaced: bool = False
     integrator: str = "breakpoints"
     grid_points: int = 1 << 16
-    out: str | None = None
 
     def radii(self) -> np.ndarray:
         if self.samples == 0:
@@ -424,6 +422,7 @@ def _sweep_row(y: float, T: float, config: SweepConfig) -> MeanSquareReport:
             ratio=nan,
             breakpoint_count=0,
             error=str(exc),
+            error_class=type(exc),
         )
 
 
@@ -453,9 +452,11 @@ def sweep(config: SweepConfig, threads: int | None = None) -> list[MeanSquareRep
         raise InvalidParameter(f"integrator must be one of {_INTEGRATORS}, got {config.integrator!r}")
     if config.samples < 0:
         raise InvalidParameter(f"samples must be >= 0, got {config.samples}")
-    if config.samples > 0 and not (0 < config.radius_min <= config.radius_max):
+    for y in config.y_values:
+        require_positive("y", y)
+    if config.samples > 0 and not (0 < config.radius_min <= config.radius_max < math.inf):
         raise InvalidParameter(
-            f"need 0 < radius_min <= radius_max, got {config.radius_min}, {config.radius_max}"
+            f"need 0 < radius_min <= radius_max < inf, got {config.radius_min}, {config.radius_max}"
         )
     params = [(y, float(T)) for y in sorted(config.y_values) for T in config.radii()]
     if not params:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from shearcount import read_spectrum_csv, read_sweep_csv
+from shearcount import CountResult, read_spectrum_csv, read_sweep_csv
 from shearcount.cli import main
 
 
@@ -143,6 +143,30 @@ def test_sweep_negative_samples(capsys):
         capsys,
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("y", ["0", "-1", "inf", "nan"])
+def test_sweep_rejects_bad_height(y, tmp_path, capsys):
+    code, _, err = run(
+        ["sweep", "--y", y, "--radius-min", "5", "--radius-max", "6", "--samples", "2",
+         "--out", str(tmp_path / "f.csv")],
+        capsys,
+    )
+    assert code == 1
+    assert "--y" in err
+
+
+def test_sweep_refused_by_the_anchor_search_exits_3(tmp_path, capsys, monkeypatch):
+    import shearcount.stats as stats
+
+    monkeypatch.setattr(stats, "count_rowslice", lambda z, T, eps: CountResult(count=0, ties=3, method="rowslice"))
+    code, _, err = run(
+        ["sweep", "--y", "1", "--radius-min", "5", "--radius-max", "6", "--samples", "2",
+         "--out", str(tmp_path / "f.csv")],
+        capsys,
+    )
+    assert code == 3
+    assert "every sweep row failed" in err
 
 
 def test_sweep_deterministic_across_thread_env(tmp_path):

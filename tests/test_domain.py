@@ -1,0 +1,85 @@
+"""Every public (y, T) entry point refuses a non-positive or non-finite height
+or radius with InvalidParameter, whatever layer it lives in."""
+import math
+
+import pytest
+
+from shearcount import (
+    InvalidParameter,
+    ShearPoint,
+    SweepConfig,
+    auto_truncation,
+    breakpoints,
+    cosine_spectrum,
+    count_decomposition,
+    count_enumerate,
+    count_formula,
+    count_rowslice,
+    lower_bound_witness,
+    mean_remainder_closed,
+    mean_square_breakpoints,
+    mean_square_certificate,
+    mean_square_grid,
+    mean_square_parseval,
+    mean_square_upper_bound,
+    oscillatory_partial_sum,
+    oscillatory_sum,
+    parseval_mean_square,
+    sweep,
+)
+
+BAD = [0.0, -1.0, math.inf, math.nan]
+
+# Entry points taking (y, T); lower_bound_witness takes (y, k) with T = k*sqrt(y).
+HEIGHT_AND_RADIUS = {
+    "breakpoints": breakpoints,
+    "mean_square_grid": lambda y, T: mean_square_grid(y, T, 16),
+    "mean_square_breakpoints": mean_square_breakpoints,
+    "mean_square_parseval": mean_square_parseval,
+    "mean_remainder_closed": mean_remainder_closed,
+    "mean_square_upper_bound": mean_square_upper_bound,
+    "cosine_spectrum": lambda y, T: cosine_spectrum(y, T, 8, 4),
+    "parseval_mean_square": lambda y, T: parseval_mean_square(y, T, 8, 4),
+    "mean_square_certificate": lambda y, T: mean_square_certificate(y, T, 4),
+    "auto_truncation": auto_truncation,
+    "lower_bound_witness": lower_bound_witness,
+    "sweep": lambda y, T: sweep(SweepConfig(y_values=(y,), radius_min=T, radius_max=T, samples=1), threads=1),
+}
+
+# Entry points taking a ShearPoint, which checks y itself: only T varies.
+SHEAR_POINT = {
+    "count_enumerate": count_enumerate,
+    "count_rowslice": count_rowslice,
+    "count_formula": count_formula,
+    "count_decomposition": count_decomposition,
+    "oscillatory_sum": oscillatory_sum,
+    "oscillatory_partial_sum": lambda z, T: oscillatory_partial_sum(z, T, 4),
+}
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("name", sorted(HEIGHT_AND_RADIUS))
+def test_bad_height_is_invalid(name, bad):
+    with pytest.raises(InvalidParameter):
+        HEIGHT_AND_RADIUS[name](bad, 3.0)
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("name", sorted(HEIGHT_AND_RADIUS))
+def test_bad_radius_is_invalid(name, bad):
+    with pytest.raises(InvalidParameter):
+        HEIGHT_AND_RADIUS[name](1.0, bad)
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("name", sorted(SHEAR_POINT))
+def test_bad_radius_at_a_shear_point_is_invalid(name, bad):
+    with pytest.raises(InvalidParameter):
+        SHEAR_POINT[name](ShearPoint(0.3, 1.0), bad)
+
+
+def test_good_parameters_pass_every_entry_point():
+    for fn in HEIGHT_AND_RADIUS.values():
+        fn(1.0, 3.0)
+    for fn in SHEAR_POINT.values():
+        fn(ShearPoint(0.3, 1.0), 3.0)

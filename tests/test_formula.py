@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from shearcount import (
     InvalidParameter,
+    RangeExceeded,
     ShearPoint,
     chord_identity_residual,
     chord_length_sum,
@@ -204,6 +205,12 @@ def test_sawtooth_integral_domain():
         sawtooth_integral(2.0, 2)
     with pytest.raises(InvalidParameter):
         sawtooth_integral(2.0, -1)
+
+
+def test_sawtooth_integral_refuses_an_unconverged_value():
+    # tol = 0 can never be met, so no value may be returned
+    with pytest.raises(RangeExceeded, match=r"tol=0\.0.*T=3\.0, M=2"):
+        sawtooth_integral(3.0, 2, tol=0.0)
 
 
 def test_circle_area_tail_quarter_disk():

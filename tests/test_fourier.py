@@ -19,6 +19,7 @@ from shearcount import (
     write_spectrum_csv,
 )
 from shearcount.lattice import halfwidths, row_limit
+from shearcount.numerics import compensated_sum
 
 SQ125 = math.sqrt(1.25)
 FOUR_OVER_PI = 4.0 / math.pi
@@ -89,6 +90,16 @@ def test_parseval_internal_consistency():
     v1, e1 = parseval_mean_square(1.0, 1.5, 300, 10)
     v2, e2 = parseval_mean_square(1.0, 1.5, 3000, 1000)
     assert abs(v1 - v2) <= e1 + e2
+
+
+@pytest.mark.parametrize("k_max", [300, 1 << 15, (1 << 15) + 1, 1 << 20, (1 << 20) + 5, 3 * (1 << 20) + 7])
+def test_parseval_sums_the_squared_spectrum_bit_for_bit(k_max):
+    # parseval_mean_square squares the coefficients block by block; its value
+    # must have the bits of summing the whole squared spectrum at once
+    n_max = k_max // 17  # 17 rows: the products m*n fill every block
+    value, _ = parseval_mean_square(1.3, 20.0, k_max, n_max)
+    coeffs = cosine_spectrum(1.3, 20.0, k_max, n_max).coeffs
+    assert value == 0.5 * compensated_sum(coeffs * coeffs)
 
 
 def test_parseval_covers_dropped_pairs():

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shearcount import (
@@ -10,6 +11,7 @@ from shearcount import (
     RangeExceeded,
     ShearPoint,
     count_enumerate,
+    count_formula,
     count_rowslice,
     lattice_vector,
 )
@@ -134,3 +136,58 @@ def test_gauss_order_sanity():
         for T in np.geomspace(1.0, 500.0, 60)
     )
     assert worst < 8.0
+
+
+# ---- exact arithmetic at ties ----
+
+def exact_count(x: Fraction, y: Fraction, T2: Fraction) -> tuple[int, bool]:
+    """Strict count of m**2 y**2 + (m x + n)**2 < T2 y in rational
+    arithmetic, and whether some (m, n) lies exactly on the circle."""
+    count, on_circle = 0, False
+    m_max = math.isqrt(math.floor(T2 / y))  # every m with m**2 y**2 <= T2 y
+    for m in range(-m_max, m_max + 1):
+        rhs = T2 * y - m * m * y * y
+        c = m * x
+        r = math.isqrt(math.floor(rhs)) + 1  # |c + n| < sqrt(rhs) < r
+        for n in range(math.floor(-c) - r, math.ceil(-c) + r + 1):
+            lhs = (c + n) ** 2
+            count += lhs < rhs
+            on_circle |= lhs == rhs
+    return count, on_circle
+
+
+@st.composite
+def tie_aimed_cases(draw):
+    """Dyadic x (exact in floating point), rational y and rational T**2; half
+    of the radii are put through a lattice point so it lies on the circle."""
+    x = Fraction(draw(st.integers(-128, 128)), 64)
+    y = Fraction(draw(st.integers(1, 8)), draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        m, n = draw(st.integers(0, 4)), draw(st.integers(-6, 6))
+        T2 = (m * m * y * y + (m * x + n) ** 2) / y
+        assume(T2 > 0)
+    else:
+        T2 = Fraction(draw(st.integers(1, 300)), draw(st.integers(1, 4)))
+    return x, y, T2
+
+
+@settings(max_examples=150)
+@given(tie_aimed_cases())
+@example((Fraction(0), Fraction(2), Fraction(4)))  # y=2, T=2: hw_1 = 2
+@example((Fraction(1, 2), Fraction(2), Fraction(4)))
+@example((Fraction(0), Fraction(1), Fraction(5)))  # (1, 2) on the circle
+@example((Fraction(1, 4), Fraction(1), Fraction(5)))
+@example((Fraction(0), Fraction(1, 2), Fraction(1, 2)))  # boundary row m = T/sqrt(y) = 1 touches
+def test_counters_match_exact_arithmetic_at_ties(case):
+    x, y, T2 = case
+    want, on_circle = exact_count(x, y, T2)
+    z = ShearPoint(float(x), float(y))
+    T = math.sqrt(float(T2))
+    rowslice = count_rowslice(z, T)
+    for result in (rowslice, count_formula(z, T)):
+        if on_circle:
+            assert result.ties > 0
+        if result.ties == 0:
+            assert result.count == want
+    # snapping keeps the strict inequality at exact rational ties as well
+    assert rowslice.count == want
