@@ -43,7 +43,6 @@ from .lattice import (
     lattice_vector,
 )
 from .stats import (
-    MAX_SWEEP_EVENTS,
     BreakpointSweep,
     LowerBoundWitness,
     MeanSquareReport,
@@ -52,7 +51,7 @@ from .stats import (
     lower_bound_witness,
     mean_remainder_closed,
     mean_square_breakpoints,
-    mean_square_grid,
+    mean_square_pairwise,
     mean_square_parseval,
     mean_square_upper_bound,
     read_sweep_csv,
@@ -71,7 +70,6 @@ __all__ = [
     "InvalidParameter",
     "LowerBoundWitness",
     "MAX_SCALED_RADIUS",
-    "MAX_SWEEP_EVENTS",
     "MeanSquareReport",
     "RangeExceeded",
     "ShearCountError",
@@ -96,7 +94,7 @@ __all__ = [
     "mean_remainder_closed",
     "mean_square_breakpoints",
     "mean_square_certificate",
-    "mean_square_grid",
+    "mean_square_pairwise",
     "mean_square_parseval",
     "mean_square_upper_bound",
     "oscillatory_partial_sum",

@@ -19,7 +19,7 @@ from .lattice import ShearPoint, count_enumerate, count_rowslice
 from .stats import (
     SweepConfig,
     mean_square_breakpoints,
-    mean_square_grid,
+    mean_square_pairwise,
     mean_square_parseval,
     sweep,
     write_sweep_csv,
@@ -58,8 +58,7 @@ def _build_parser() -> _Parser:
     m = sub.add_parser("meansquare", help="period mean square of the remainder at one (y, radius)")
     m.add_argument("--y", type=float, required=True)
     m.add_argument("--radius", type=float, required=True)
-    m.add_argument("--integrator", choices=("breakpoints", "grid", "parseval"), default="breakpoints")
-    m.add_argument("--grid-points", type=int, default=1 << 16)
+    m.add_argument("--integrator", choices=("pairwise", "breakpoints", "parseval"), default="pairwise")
     m.add_argument("--kmax", type=int, default=None, help="spectrum length for --integrator parseval")
     m.add_argument("--nmax", type=int, default=None, help="harmonic cutoff for --integrator parseval")
     m.add_argument("--out", default=None, help="CSV destination (default: stdout)")
@@ -71,9 +70,8 @@ def _build_parser() -> _Parser:
     s.add_argument("--samples", type=int, required=True)
     s.add_argument("--log", action="store_true", help="log-spaced radii")
     s.add_argument(
-        "--integrator", choices=("breakpoints", "grid", "parseval-assembled"), default="breakpoints"
+        "--integrator", choices=("pairwise", "breakpoints", "parseval-assembled"), default="pairwise"
     )
-    s.add_argument("--grid-points", type=int, default=1 << 16)
     s.add_argument("--threads", type=int, default=None, help="worker count (default: SHEARCOUNT_THREADS or all cores)")
     s.add_argument("--timing", action="store_true", help="record wall-clock ms per row (breaks byte reproducibility)")
     s.add_argument("--out", required=True)
@@ -128,12 +126,10 @@ def _cmd_count(args) -> int:
 def _cmd_meansquare(args) -> int:
     _positive(args.y, "--y")
     _positive(args.radius, "--radius")
-    if args.integrator == "breakpoints":
+    if args.integrator == "pairwise":
+        report = mean_square_pairwise(args.y, args.radius)
+    elif args.integrator == "breakpoints":
         report = mean_square_breakpoints(args.y, args.radius)
-    elif args.integrator == "grid":
-        if args.grid_points < 16:
-            raise _UsageError(f"--grid-points must be >= 16, got {args.grid_points}")
-        report = mean_square_grid(args.y, args.radius, args.grid_points)
     else:
         report = mean_square_parseval(args.y, args.radius, args.kmax, args.nmax)
     if args.out:
@@ -162,7 +158,6 @@ def _cmd_sweep(args) -> int:
         samples=args.samples,
         log_spaced=args.log,
         integrator=args.integrator,
-        grid_points=args.grid_points,
     )
     reports = sweep(config, threads=args.threads)
     try:
@@ -229,7 +224,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except RangeExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print("hint: retry with --integrator grid", file=sys.stderr)
         return EXIT_RANGE
     except InvalidParameter as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,6 +33,7 @@ from .lattice import (
     ShearPoint,
     count_enumerate,
     count_rowslice,
+    require_positive,
     rows,
     shear_mod_one,
 )
@@ -106,6 +107,7 @@ def chord_sum_error_bound(T: float) -> float:
     the sawtooth integral and the circular tail), and a further 4w covers the
     at most two |m| = floor(T) terms the truncation drops.
     """
+    require_positive("T", T)
     if not T >= 2:
         raise InvalidParameter(f"need T >= 2, got {T}")
     snapped, _ = snap_integer(T, DEFAULT_TIE_EPS)
@@ -210,6 +212,7 @@ def sawtooth_integral(T: float, M: int, tol: float = 1e-10) -> float:
 
 def circle_area_tail(T: float, a: float) -> float:
     """Closed form of the integral from a to T of sqrt(T**2 - x**2) dx."""
+    require_positive("T", T)
     if not (0 <= a <= T):
         raise InvalidParameter(f"need 0 <= a <= T, got a={a}, T={T}")
     return 0.5 * T * T * (0.5 * math.pi - math.asin(a / T)) - 0.5 * a * math.sqrt((T - a) * (T + a))
@@ -227,6 +230,7 @@ def chord_identity_residual(T: float) -> tuple[float, float, float]:
 
     and returns (lhs - rhs, integral value, integral upper bound M/(8w)).
     """
+    require_positive("T", T)
     if not T >= 2:
         raise InvalidParameter(f"need T >= 2, got {T}")
     snapped, _ = snap_integer(T, DEFAULT_TIE_EPS)
@@ -243,6 +247,7 @@ def chord_identity_residual(T: float) -> tuple[float, float, float]:
 def inscribed_polygon_area(radius: int) -> float:
     """Shoelace area of the polygon with vertices (m, +-sqrt(R**2 - m**2))
     over integer |m| <= R; equals chord_length_sum(R) for integer R."""
+    require_positive("radius", radius)
     if radius != int(radius) or radius < 1:
         raise InvalidParameter(f"need an integer radius >= 1, got {radius}")
     R = int(radius)

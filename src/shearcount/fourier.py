@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidParameter, RangeExceeded
 from .lattice import ShearPoint, rows, shear_mod_one
-from .numerics import chunk_sums, compensated_sum
+from .numerics import TEMP_ENTRIES, chunk_sums, compensated_sum
 
 __all__ = [
     "FourierSpectrum",
@@ -46,9 +46,9 @@ _FOUR_OVER_PI = 4.0 / math.pi
 #: Hard ceiling on k_max (cosine_spectrum's array is then 256 MiB of float64).
 MAX_COEFFICIENTS = 1 << 25
 
-#: Coefficients per block in parseval_mean_square (8 MiB); a multiple of the
-#: chunk whose partial sums compensated_sum adds, so blocks sum alike.
-_BLOCK = 1 << 20
+#: Coefficients per block in parseval_mean_square; a multiple of the chunk
+#: whose partial sums compensated_sum adds, so blocks sum alike.
+_BLOCK = TEMP_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -178,12 +178,21 @@ def oscillatory_partial_sum(z: ShearPoint, T: float, n_max: int) -> float:
     return _FOUR_OVER_PI * total
 
 
-def _sin_squared(n: np.ndarray, two_pi_hw: np.ndarray) -> np.ndarray:
-    """sin(n * 2*pi*hw_m)**2 for every (n, m), in one array: the outer
-    product is the only chunk-sized allocation."""
-    block = np.outer(n, two_pi_hw)
-    np.sin(block, out=block)
-    return np.square(block, out=block)
+def _row_sums(n_lo: int, n_hi: int, two_pi_hw: np.ndarray) -> np.ndarray:
+    """sum_m sin(n * 2*pi*hw_m)**2 for n_lo <= n <= n_hi.
+
+    The (n, m) outer products are built TEMP_ENTRIES at a time; each row sum
+    is taken within one row, so the result does not depend on the chunking.
+    """
+    out = np.empty(max(0, n_hi - n_lo + 1))
+    chunk = max(1, TEMP_ENTRIES // two_pi_hw.size)
+    for start in range(n_lo, n_hi + 1, chunk):
+        stop = min(n_hi, start + chunk - 1)
+        block = np.outer(np.arange(start, stop + 1, dtype=float), two_pi_hw)
+        np.sin(block, out=block)
+        np.square(block, out=block)
+        block.sum(axis=1, out=out[start - n_lo : stop - n_lo + 1])
+    return out
 
 
 def mean_square_certificate(y: float, T: float, cutoff: int) -> float:
@@ -209,21 +218,11 @@ def mean_square_certificate(y: float, T: float, cutoff: int) -> float:
     if M == 0:
         return 0.0
 
-    chunk = max(1, (1 << 22) // M)
     two_pi_hw = 2.0 * math.pi * hw
-
     harmonic = float(np.sum(1.0 / np.arange(1, A + 1)))
-    head = 0.0
-    for start in range(1, A + 1, chunk):
-        n = np.arange(start, min(A, start + chunk - 1) + 1, dtype=float)
-        head += float(np.sum(_sin_squared(n, two_pi_hw).sum(axis=1) / n))
-    head *= 0.5
-
-    tail_sin = 0.0
-    for start in range(A + 1, 10 * A + 1, chunk):
-        n = np.arange(start, min(10 * A, start + chunk - 1) + 1, dtype=float)
-        tail_sin += float(np.sum(_sin_squared(n, two_pi_hw).sum(axis=1) / (n * n)))
-    tail = 0.5 * (tail_sin + M / (10.0 * A))
+    head = 0.5 * float(np.sum(_row_sums(1, A, two_pi_hw) / np.arange(1, A + 1, dtype=float)))
+    n = np.arange(A + 1, 10 * A + 1, dtype=float)
+    tail = 0.5 * (float(np.sum(_row_sums(A + 1, 10 * A, two_pi_hw) / (n * n))) + M / (10.0 * A))
 
     return 2.0 * _FOUR_OVER_PI**2 * (harmonic * head + scaled * tail)
 

@@ -1,17 +1,24 @@
 """Mean and mean square of the count remainder over one shear period.
 
-As x sweeps [0, 1) at fixed (y, T) the count is piecewise constant: row m
-gains or loses a point exactly when one of its interval endpoints
--+hw_m - m*x crosses an integer.  Enumerating those crossings gives the
-exact jump set (:func:`breakpoints`), and integrating the piecewise constant
-remainder over the segments gives the period mean and mean square up to
-floating accumulation (:func:`mean_square_breakpoints`).  The crossings of
-all rows are built in one vectorised pass and merged by one in-place sort of
-int64 keys: crossings closer than 1e-13 share a key, so coincident jumps are
-summed exactly in integers, independent of their order.  A midpoint-grid
-fallback (:func:`mean_square_grid`) covers regimes where the jump set would
-not fit in memory, and :func:`mean_square_parseval` assembles the mean
-square from the cosine spectrum instead of a sweep.
+The production integrator, :func:`mean_square_pairwise`, is exact and
+finite: the remainder is the closed-form mean plus the oscillatory part, a
+sum of sawtooth pairs, and Franel's identity integrates the product of any
+two sawtooths in closed form.  Its O(M**2) sum over row pairs, M = T/sqrt(y),
+needs O(M) memory, no sort and no truncation, and serves the CLI and
+:func:`sweep` by default.
+
+Two independent integrators check it.  As x sweeps [0, 1) at fixed (y, T)
+the count is piecewise constant: row m gains or loses a point exactly when
+one of its interval endpoints -+hw_m - m*x crosses an integer.  Enumerating
+those crossings gives the exact jump set (:func:`breakpoints`), and
+integrating the piecewise constant remainder over the segments gives the
+period mean and mean square up to floating accumulation
+(:func:`mean_square_breakpoints`).  The crossings of all rows are built in
+one vectorised pass and merged by one in-place sort of int64 keys:
+crossings closer than 1e-13 share a key, so coincident jumps are summed
+exactly in integers, independent of their order; the events grow like
+2*T**2/y, which caps the sweep.  :func:`mean_square_parseval` assembles the
+mean square from the truncated cosine spectrum instead.
 
 Counting convention for the integrals: point counts are strict (boundary
 vectors excluded), but when sqrt(y)*T is an integer the two vectors
@@ -40,21 +47,21 @@ from .lattice import (
     ShearPoint,
     count_rowslice,
     require_positive,
+    row_limit,
     rows,
     scaled_radius,
     shear_mod_one,
 )
-from .numerics import compensated_sum, frac_snapped, snap_integer, snap_integers
+from .numerics import TEMP_ENTRIES, compensated_sum, frac_snapped, snap_integer, snap_integers
 
 __all__ = [
-    "MAX_SWEEP_EVENTS",
     "BreakpointSweep",
     "MeanSquareReport",
     "LowerBoundWitness",
     "SweepConfig",
     "breakpoints",
     "mean_square_breakpoints",
-    "mean_square_grid",
+    "mean_square_pairwise",
     "mean_square_parseval",
     "mean_remainder_closed",
     "mean_square_upper_bound",
@@ -66,7 +73,12 @@ __all__ = [
 ]
 
 #: Refuse breakpoint sweeps whose projected event count exceeds this.
-MAX_SWEEP_EVENTS = 10**8
+_MAX_SWEEP_EVENTS = 10**8
+
+#: Largest row count M that mean_square_pairwise accepts.  Its O(M**2) sum
+#: takes about 3 s at this M on one core of a 2 vCPU x86-64 host (0.45 s at
+#: M = 7,071, where the breakpoint sweep stops when y = 1).
+_MAX_PAIRWISE_ROWS = 20_000
 
 _MERGE_SCALE = 10**13  # jump locations are merged on the grid of 1e-13
 _ANCHOR_PROBES = 64
@@ -170,15 +182,15 @@ def breakpoints(y: float, T: float, tie_eps: float = DEFAULT_TIE_EPS) -> Breakpo
     per raw event: the 8-byte key and a byte of group mask per event, plus
     24 bytes per group of coincident crossings.
 
-    Projected event counts beyond MAX_SWEEP_EVENTS raise RangeExceeded (use
-    the grid integrator there).  So does an anchor search that finds no
+    Projected event counts beyond 1e8 raise RangeExceeded (the pairwise
+    integrator needs no event array).  So does an anchor search that finds no
     tie-free point in the first segment, instead of anchoring on a tied
     count.
     """
     _, ms, hw = rows(y, T, tie_eps)
-    if 2.0 * T * T / y > MAX_SWEEP_EVENTS:
+    if 2.0 * T * T / y > _MAX_SWEEP_EVENTS:
         raise RangeExceeded(
-            f"projected event count 2*T^2/y = {2 * T * T / y:.3g} exceeds {MAX_SWEEP_EVENTS:.0e}"
+            f"projected event count 2*T^2/y = {2 * T * T / y:.3g} exceeds {_MAX_SWEEP_EVENTS:.0e}"
         )
     M = ms.size
     g, _ = snap_integers(hw, tie_eps)
@@ -304,29 +316,104 @@ def mean_remainder_closed(y: float, T: float) -> float:
     )
 
 
-def mean_square_grid(y: float, T: float, grid_points: int = 1 << 16) -> MeanSquareReport:
-    """Midpoint-rule approximation of the period mean and mean square.
+def mean_square_pairwise(y: float, T: float) -> MeanSquareReport:
+    """Exact period mean and mean square of the remainder by Franel's identity.
 
-    The integrand is piecewise constant, so the midpoint rule carries no
-    smoothness order; treat the result as statistical and compare two
-    resolutions to gauge it.  error_bound is left at 0 for that reason.
+    With s(t) = 1/2 - {t}, d = gcd(m, n) and B2(u) = {u}**2 - {u} + 1/6,
+    Franel's identity in Landau's form reads
+
+        integral_0^1 s(m*x + a) * s(n*x + b) dx = d**2/(2*m*n) * B2((n*a - m*b)/d),
+
+    and the oscillatory part is 2 * sum_m [s(m*x + hw_m) - s(m*x - hw_m)], so
+
+        integral osc**2 = 4 * sum_{m, n <= M} (d**2/(m*n))
+                            * [B2((n*hw_m - m*hw_n)/d) - B2((n*hw_m + m*hw_n)/d)],
+
+    a finite sum with no event array and no truncation.  The oscillatory
+    part has period mean zero, so the mean square is that sum plus the
+    square of mean_remainder_closed.  The half-widths are snapped as in
+    :func:`breakpoints`, so both integrators integrate the same count.
+
+    error_bound is a priori.  |n*hw_m +- m*hw_n| <= 2*T**2, so each B2
+    argument carries at most 3*eps*T**2/d of rounding, and B2 has Lipschitz
+    constant 1 on the circle; evaluating B2, the weight and the sums adds at
+    most 48*eps per unit of weight d**2/(m*n) <= M*d/(m*n).  With
+    S = sum_{m, n <= M} gcd(m, n)/(m*n) <= (1 + log M)**3 this gives
+
+        eps * ((1 + log M)**3 * (24*T**2 + 48*M) + mean_square).
+
+    Like the breakpoint integrator's, it covers the arithmetic on the
+    computed half-widths.  Rows beyond M = 20,000 raise RangeExceeded
+    before anything is allocated.
     """
-    if grid_points < 16 or grid_points != int(grid_points):
-        raise InvalidParameter(f"grid_points must be an integer >= 16, got {grid_points}")
-    scaled_radius(y, T)
     t0 = time.perf_counter()
-    G = int(grid_points)
-    _, axis_tie = snap_integer(math.sqrt(y) * T, DEFAULT_TIE_EPS)
-    adj = 2 if axis_tie else 0
-    area = math.pi * T * T
-    r = np.empty(G)
-    for j in range(G):
-        x = (j + 0.5) / G
-        r[j] = count_rowslice(ShearPoint(x, y), T).count + adj - area
-    mean = compensated_sum(r) / G
-    mean_sq = compensated_sum(r * r) / G
+    M = row_limit(scaled_radius(y, T))
+    if M > _MAX_PAIRWISE_ROWS:
+        raise RangeExceeded(f"row count M = {M} exceeds the pairwise ceiling {_MAX_PAIRWISE_ROWS}")
+    _, ms, hw = rows(y, T)
+    g, _ = snap_integers(hw, DEFAULT_TIE_EPS)
+    mu = mean_remainder_closed(y, T)
+    mean_sq = _franel_sum(ms, g) + mu * mu
+    log_term = 1.0 + math.log(max(M, 1))
+    error_bound = math.ulp(1.0) * (log_term**3 * (24.0 * T * T + 48.0 * M) + mean_sq)
     elapsed = (time.perf_counter() - t0) * 1e3
-    return _report_from_integral(y, T, mean, mean_sq, "grid", 0.0, 0, elapsed)
+    return _report_from_integral(y, T, mu, mean_sq, "pairwise", error_bound, 0, elapsed)
+
+
+def _franel_sum(ms: np.ndarray, g: np.ndarray) -> float:
+    """Franel's sum for the integral of osc**2 (see mean_square_pairwise),
+    over rows ms with snapped half-widths g.
+
+    The term is symmetric in (m, n), so only n >= m is summed: tiles of
+    TEMP_ENTRIES // M rows m against every n >= the tile's first row, with
+    the n < m corner zeroed.  Each tile adds twice its sum less its diagonal
+    to the partials, and math.fsum adds the partials in tile order, so the
+    value depends on M alone, not on the caller's threads.
+    """
+    M = ms.size
+    if M == 0:
+        return 0.0
+    height = max(1, TEMP_ENTRIES // M)
+    divisors = [[] for _ in range(M + 1)]  # divisors[m]: the e >= 2 dividing m, increasing
+    for e in range(2, M + 1):
+        for k in range(e, M + 1, e):
+            divisors[k].append(e)
+    partials = []
+    for i0 in range(0, M, height):
+        i1 = min(M, i0 + height)
+        m, n = ms[i0:i1, None], ms[None, i0:]
+        # d = gcd(m, n): each common divisor e writes itself, the largest last
+        d = np.ones((i1 - i0, M - i0))
+        for e in sorted(set().union(*divisors[i0 + 1 : i1 + 1])):
+            first = -(-(i0 + 1) // e) * e - (i0 + 1)
+            d[first::e, first::e] = e
+        plus = g[i0:i1, None] * n
+        cross = m * g[None, i0:]
+        minus = plus - cross
+        minus /= d
+        plus += cross
+        plus /= d
+        del cross
+        term = _b2_less_sixth(minus)
+        term -= _b2_less_sixth(plus)
+        d *= d
+        d /= m
+        d /= n
+        term *= d
+        corner = term[:, : i1 - i0]
+        np.copyto(corner, 0.0, where=np.tri(i1 - i0, k=-1, dtype=bool))
+        partials += [2.0 * float(np.sum(term)), -float(np.sum(corner.diagonal()))]
+    return 4.0 * math.fsum(partials)
+
+
+def _b2_less_sixth(u: np.ndarray) -> np.ndarray:
+    """B2(u) - 1/6 = f*(f - 1) with f = {u}, computed in the storage of u.
+    The 1/6 cancels in the difference of the two B2 terms."""
+    f = np.floor(u)
+    np.subtract(u, f, out=u)
+    np.subtract(u, 1.0, out=f)
+    u *= f
+    return u
 
 
 def mean_square_parseval(
@@ -388,8 +475,7 @@ class SweepConfig:
     radius_max: float
     samples: int
     log_spaced: bool = False
-    integrator: str = "breakpoints"
-    grid_points: int = 1 << 16
+    integrator: str = "pairwise"
 
     def radii(self) -> np.ndarray:
         if self.samples == 0:
@@ -399,15 +485,15 @@ class SweepConfig:
         return np.linspace(self.radius_min, self.radius_max, self.samples)
 
 
-_INTEGRATORS = ("breakpoints", "grid", "parseval-assembled")
+_INTEGRATORS = ("pairwise", "breakpoints", "parseval-assembled")
 
 
 def _sweep_row(y: float, T: float, config: SweepConfig) -> MeanSquareReport:
     try:
+        if config.integrator == "pairwise":
+            return mean_square_pairwise(y, T)
         if config.integrator == "breakpoints":
             return mean_square_breakpoints(y, T)
-        if config.integrator == "grid":
-            return mean_square_grid(y, T, config.grid_points)
         return mean_square_parseval(y, T)
     except ShearCountError as exc:
         nan = float("nan")

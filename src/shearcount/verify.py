@@ -3,10 +3,10 @@
 Samples tie-free parameters with a named seedable generator (numpy PCG64)
 and runs the package's cross-checks: the two counting oracles against each
 other and against the closed-form decomposition, shear symmetries, the
-closed form of the period mean against the breakpoint sweep, Parseval
-against the sweep, certificate domination, the polygon identity, and the
-chord-sum integration-by-parts identity.  Any failure reports the offending
-parameters so the case can be replayed.
+closed form of the period mean and the pairwise mean square against the
+breakpoint sweep, Parseval against the sweep, certificate domination, the
+polygon identity, and the chord-sum integration-by-parts identity.  Any
+failure reports the offending parameters so the case can be replayed.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .formula import (
 )
 from .fourier import mean_square_certificate, parseval_mean_square
 from .lattice import ShearPoint, count_enumerate, count_rowslice
-from .stats import mean_remainder_closed, mean_square_breakpoints
+from .stats import breakpoints, mean_remainder_closed, mean_square_breakpoints, mean_square_pairwise
 
 
 @dataclass
@@ -53,6 +53,20 @@ def sample_tie_free_cases(
             continue
         out.append((x, y, T))
     return out
+
+
+def breakpoint_grid_error(y: float, T: float) -> float:
+    """Error of mean_square_breakpoints that its error_bound leaves out.
+
+    breakpoints places every jump on the merge grid of 1e-13, a move of at
+    most 5e-14 plus the rounding of the position; a jump moved by that much
+    changes the integral of r**2 by at most 1e-13 times the change of r**2
+    across it.
+    """
+    sw = breakpoints(y, T)
+    _, counts = sw.segment_counts()
+    r = counts + (2 if sw.axis_tie else 0) - math.pi * T * T
+    return 1e-13 * float(np.sum(np.abs(np.diff(r * r))))
 
 
 def run_verification(
@@ -106,13 +120,22 @@ def run_verification(
 
     sub = results[:: max(1, len(results) // 25)]
     worst, bad = 0.0, ""
+    worst_pw, bad_pw = 0.0, ""
     for x, y, T, *_ in sub:
-        got = mean_square_breakpoints(y, T).mean_remainder
+        bp = mean_square_breakpoints(y, T)
         want = mean_remainder_closed(y, T)
-        d = abs(got - want) / (1.0 + math.pi * T * T)
+        d = abs(bp.mean_remainder - want) / (1.0 + math.pi * T * T)
         if d > worst:
-            worst, bad = d, f"y={y!r} T={T!r} sweep={got!r} closed={want!r}"
+            worst, bad = d, f"y={y!r} T={T!r} sweep={bp.mean_remainder!r} closed={want!r}"
+        pw = mean_square_pairwise(y, T)
+        allowed = pw.error_bound + bp.error_bound + breakpoint_grid_error(y, T)
+        d = abs(pw.mean_square - bp.mean_square) / allowed
+        if d > worst_pw:
+            worst_pw, bad_pw = d, (
+                f"y={y!r} T={T!r} pairwise={pw.mean_square!r} sweep={bp.mean_square!r} allowed={allowed!r}"
+            )
     checks.append(VerifyCheck("mean-closed-form", len(sub), worst, 1e-9, worst <= 1e-9, bad))
+    checks.append(VerifyCheck("pairwise-vs-breakpoints", len(sub), worst_pw, 1.0, worst_pw <= 1.0, bad_pw))
 
     # Parseval, certificate: fresh small-radius cases so spectra stay cheap
     small = [(float(rng.uniform(0.5, 4.0)), float(rng.uniform(1.2, 30.0))) for _ in range(6)]

@@ -66,28 +66,26 @@ def test_meansquare_constant_case(capsys):
 
 def test_meansquare_with_empty_jump_set(capsys):
     # y = 2, T = 2: the only occupied rows have half-width 2, so no jumps
-    code, out, _ = run(["meansquare", "--y", "2", "--radius", "2"], capsys)
+    code, out, _ = run(["meansquare", "--y", "2", "--radius", "2", "--integrator", "breakpoints"], capsys)
     assert code == 0
     assert out.strip().splitlines()[1].split(",")[7] == "0"
-
-
-def test_meansquare_grid_close_to_breakpoints(capsys):
-    code, out_b, _ = run(["meansquare", "--y", "1", "--radius", "20", "--integrator", "breakpoints"], capsys)
-    assert code == 0
-    code, out_g, _ = run(
-        ["meansquare", "--y", "1", "--radius", "20", "--integrator", "grid", "--grid-points", "32768"],
-        capsys,
-    )
-    assert code == 0
-    ms_b = float(out_b.strip().splitlines()[1].split(",")[2])
-    ms_g = float(out_g.strip().splitlines()[1].split(",")[2])
-    assert abs(ms_g - ms_b) < 0.02 * ms_b
 
 
 def test_meansquare_range_exceeded_suggests_grid(capsys):
     code, _, err = run(["meansquare", "--y", "0.0001", "--radius", "500", "--integrator", "breakpoints"], capsys)
     assert code == 3
-    assert "grid" in err
+    assert "exceeds 1e+08" in err
+    assert "grid" not in err
+
+
+def test_meansquare_default_is_pairwise_and_refuses_beyond_its_ceiling(capsys):
+    code, out, _ = run(["meansquare", "--y", "1", "--radius", "20"], capsys)
+    assert code == 0
+    row = out.strip().splitlines()[1].split(",")
+    assert (row[6], row[7]) == ("pairwise", "0")
+    code, _, err = run(["meansquare", "--y", "0.0001", "--radius", "500"], capsys)
+    assert code == 3
+    assert "M = 49999 exceeds the pairwise ceiling 20000" in err
 
 
 def test_meansquare_parseval(capsys):
@@ -111,7 +109,7 @@ def test_sweep_file_output(tmp_path, capsys):
     with open(out) as fh:
         reports = read_sweep_csv(fh)
     assert len(reports) == 5
-    assert all(r.method == "breakpoints" for r in reports)
+    assert all(r.method == "pairwise" for r in reports)
 
 
 def test_sweep_zero_samples_header_only(tmp_path, capsys):
@@ -162,7 +160,7 @@ def test_sweep_refused_by_the_anchor_search_exits_3(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(stats, "count_rowslice", lambda z, T, eps: CountResult(count=0, ties=3, method="rowslice"))
     code, _, err = run(
         ["sweep", "--y", "1", "--radius-min", "5", "--radius-max", "6", "--samples", "2",
-         "--out", str(tmp_path / "f.csv")],
+         "--integrator", "breakpoints", "--out", str(tmp_path / "f.csv")],
         capsys,
     )
     assert code == 3

@@ -1,5 +1,5 @@
-"""Every public (y, T) entry point refuses a non-positive or non-finite height
-or radius with InvalidParameter, whatever layer it lives in."""
+"""Every public (y, T) or T-only entry point refuses a non-positive or
+non-finite height or radius with InvalidParameter, whatever layer it lives in."""
 import math
 
 import pytest
@@ -10,21 +10,28 @@ from shearcount import (
     SweepConfig,
     auto_truncation,
     breakpoints,
+    chord_identity_residual,
+    chord_length_sum,
+    chord_sum_error,
+    chord_sum_error_bound,
+    circle_area_tail,
     cosine_spectrum,
     count_decomposition,
     count_enumerate,
     count_formula,
     count_rowslice,
+    inscribed_polygon_area,
     lower_bound_witness,
     mean_remainder_closed,
     mean_square_breakpoints,
     mean_square_certificate,
-    mean_square_grid,
+    mean_square_pairwise,
     mean_square_parseval,
     mean_square_upper_bound,
     oscillatory_partial_sum,
     oscillatory_sum,
     parseval_mean_square,
+    sawtooth_integral,
     sweep,
 )
 
@@ -33,7 +40,7 @@ BAD = [0.0, -1.0, math.inf, math.nan]
 # Entry points taking (y, T); lower_bound_witness takes (y, k) with T = k*sqrt(y).
 HEIGHT_AND_RADIUS = {
     "breakpoints": breakpoints,
-    "mean_square_grid": lambda y, T: mean_square_grid(y, T, 16),
+    "mean_square_pairwise": mean_square_pairwise,
     "mean_square_breakpoints": mean_square_breakpoints,
     "mean_square_parseval": mean_square_parseval,
     "mean_remainder_closed": mean_remainder_closed,
@@ -54,6 +61,17 @@ SHEAR_POINT = {
     "count_decomposition": count_decomposition,
     "oscillatory_sum": oscillatory_sum,
     "oscillatory_partial_sum": lambda z, T: oscillatory_partial_sum(z, T, 4),
+}
+
+# Entry points taking a radius alone.
+RADIUS_ONLY = {
+    "chord_length_sum": chord_length_sum,
+    "chord_sum_error": chord_sum_error,
+    "chord_sum_error_bound": chord_sum_error_bound,
+    "chord_identity_residual": chord_identity_residual,
+    "circle_area_tail": lambda T: circle_area_tail(T, 1.0),
+    "inscribed_polygon_area": inscribed_polygon_area,
+    "sawtooth_integral": lambda T: sawtooth_integral(T, 1),
 }
 
 
@@ -78,8 +96,17 @@ def test_bad_radius_at_a_shear_point_is_invalid(name, bad):
         SHEAR_POINT[name](ShearPoint(0.3, 1.0), bad)
 
 
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("name", sorted(RADIUS_ONLY))
+def test_bad_radius_alone_is_invalid(name, bad):
+    with pytest.raises(InvalidParameter):
+        RADIUS_ONLY[name](bad)
+
+
 def test_good_parameters_pass_every_entry_point():
     for fn in HEIGHT_AND_RADIUS.values():
         fn(1.0, 3.0)
     for fn in SHEAR_POINT.values():
         fn(ShearPoint(0.3, 1.0), 3.0)
+    for fn in RADIUS_ONLY.values():
+        fn(3.0)

@@ -92,7 +92,9 @@ def test_parseval_internal_consistency():
     assert abs(v1 - v2) <= e1 + e2
 
 
-@pytest.mark.parametrize("k_max", [300, 1 << 15, (1 << 15) + 1, 1 << 20, (1 << 20) + 5, 3 * (1 << 20) + 7])
+@pytest.mark.parametrize(
+    "k_max", [300, 1 << 15, (1 << 15) + 1, 1 << 18, (1 << 18) + 5, 1 << 20, (1 << 20) + 5, 3 * (1 << 20) + 7]
+)
 def test_parseval_sums_the_squared_spectrum_bit_for_bit(k_max):
     # parseval_mean_square squares the coefficients block by block; its value
     # must have the bits of summing the whole squared spectrum at once

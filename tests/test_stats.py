@@ -19,7 +19,7 @@ from shearcount import (
     lower_bound_witness,
     mean_remainder_closed,
     mean_square_breakpoints,
-    mean_square_grid,
+    mean_square_pairwise,
     mean_square_parseval,
     mean_square_upper_bound,
     read_sweep_csv,
@@ -28,6 +28,7 @@ from shearcount import (
 )
 from shearcount.lattice import halfwidths, row_limit, scaled_radius
 from shearcount.numerics import snap_integer
+from shearcount.verify import breakpoint_grid_error
 
 MEAN_GRID = [(y, T) for T in (1.5, 7.3, 20.0, 50.0) for y in (0.7, 1.0, 2.5)]
 INTEGER_GRID = [(y, float(T)) for y in (1.0, 2.0, 4.0) for T in range(1, 41)]
@@ -200,26 +201,132 @@ def test_closed_form_below_one_at_integers(T):
     assert mean_remainder_closed(1.0, float(T)) < 1.0
 
 
-# ---- grid integrator ----
+# ---- pairwise integrator ----
 
-def test_grid_equals_exact_on_constant_integrand():
-    g = mean_square_grid(1.0, 0.5, 64)
-    e = mean_square_breakpoints(1.0, 0.5)
-    assert (g.mean_remainder, g.mean_square) == (e.mean_remainder, e.mean_square)
-    assert g.method == "grid"
-
-
-def test_grid_self_consistency_and_accuracy():
-    g14 = mean_square_grid(1.0, 20.0, 1 << 14)
-    g15 = mean_square_grid(1.0, 20.0, 1 << 15)
-    exact = mean_square_breakpoints(1.0, 20.0)
-    assert abs(g14.mean_square - g15.mean_square) < 0.01 * exact.mean_square
-    assert abs(g15.mean_square - exact.mean_square) < 0.02 * exact.mean_square
+EPS = np.finfo(float).eps
+# rows whose sqrt(y)*T is an integer: (0, +-T) lie on the circle at every x
+AXIS_TIE_ROWS = [(1.0, 7.0), (0.25, 6.0), (2.0, 3.0 * math.sqrt(2.0)), (9.0, 5.0 / 3.0), (0.5, 4.0 * math.sqrt(0.5))]
+INTEGER_HALFWIDTH_ROWS = [(2.0, 2.0), (1.0, math.sqrt(2.0)), (4.0, math.sqrt(5.0))]
 
 
-def test_grid_rejects_tiny_grids():
-    with pytest.raises(InvalidParameter):
-        mean_square_grid(1.0, 2.0, 8)
+def _reference_oscillatory_square(y, T):
+    """Franel's sum over every ordered pair (m, n), one pair at a time, with
+    math.gcd and a scalar B2: the reference for the tiled kernel.  Returns
+    (integral of osc**2, the absolute mass of its terms)."""
+    M = row_limit(scaled_radius(y, T))
+    hw = halfwidths(y, T, np.arange(1, M + 1, dtype=float))
+    g = [snap_integer(float(h), 1e-12)[0] for h in hw]
+
+    def b2(u):
+        f = u - math.floor(u)
+        return f * f - f + 1.0 / 6.0
+
+    terms, mass = [], 0.0
+    for m in range(1, M + 1):
+        for n in range(1, M + 1):
+            d = math.gcd(m, n)
+            lo = b2((n * g[m - 1] - m * g[n - 1]) / d)
+            hi = b2((n * g[m - 1] + m * g[n - 1]) / d)
+            w = 4.0 * d * d / (m * n)
+            terms.append(w * (lo - hi))
+            mass += w * (abs(lo) + abs(hi))
+    return math.fsum(terms), mass
+
+
+def _assert_matches_reference(y, T):
+    # The kernel forms each B2 argument with the same float operations as the
+    # reference; evaluation order and summation differ, by at most a few ulps
+    # per term plus log2(2**18) roundings per tile sum.  32 eps of the term
+    # mass covers both, and the squared mean adds one rounding.
+    rep = mean_square_pairwise(y, T)
+    ref, mass = _reference_oscillatory_square(y, T)
+    mu = mean_remainder_closed(y, T)
+    assert abs(rep.mean_square - (ref + mu * mu)) <= 32.0 * EPS * (mass + mu * mu)
+
+
+def _assert_agrees_with_breakpoints(y, T):
+    # breakpoints' error_bound leaves out its 1e-13 merge grid, which alone
+    # moves the mean square at (1, 2) by 1.0e-13 (pairwise is exact there)
+    pw, bp = mean_square_pairwise(y, T), mean_square_breakpoints(y, T)
+    allowed = pw.error_bound + bp.error_bound + breakpoint_grid_error(y, T)
+    assert abs(pw.mean_square - bp.mean_square) <= allowed
+    assert abs(pw.mean_remainder - bp.mean_remainder) <= 1e-9 * (1.0 + math.pi * T * T)
+
+
+def test_pairwise_matches_the_pair_by_pair_reference():
+    rows_ = [r for r in INTEGER_GRID if row_limit(scaled_radius(*r)) <= 60]
+    for y, T in rows_ + AXIS_TIE_ROWS + INTEGER_HALFWIDTH_ROWS + [(1.0, 60.5), (0.7, 37.3)]:
+        _assert_matches_reference(y, T)
+
+
+@settings(max_examples=25)
+@given(st.floats(0.3, 5.0), st.floats(0.2, 60.0))
+def test_pairwise_matches_the_pair_by_pair_reference_on_random_rows(y, scaled):
+    _assert_matches_reference(y, scaled * math.sqrt(y))  # M <= 60
+
+
+@pytest.mark.parametrize("entries", [1, 256])
+def test_pairwise_tiles_match_the_pair_by_pair_reference(monkeypatch, entries):
+    # shrink the tiles so rows with M <= 60 span many of them: one row per
+    # tile, or 256 // M rows with divisors both within and beyond a tile
+    import shearcount.stats as stats
+
+    monkeypatch.setattr(stats, "TEMP_ENTRIES", entries)
+    for y, T in [(1.0, 40.0), (2.0, 40.0), (1.0, 60.5), (0.7, 37.3), (4.0, math.sqrt(5.0)), (1.0, 7.0)]:
+        _assert_matches_reference(y, T)
+
+
+def test_pairwise_agrees_with_breakpoints_on_integer_grid_and_ties():
+    for y, T in INTEGER_GRID + INTEGER_HALFWIDTH_ROWS + AXIS_TIE_ROWS:
+        _assert_agrees_with_breakpoints(y, T)
+
+
+@settings(max_examples=40)
+@given(st.floats(0.3, 5.0), st.floats(0.5, 120.0))
+def test_pairwise_agrees_with_breakpoints(y, T):
+    _assert_agrees_with_breakpoints(y, T)
+
+
+def test_pairwise_agrees_with_breakpoints_across_several_tiles():
+    # M = 1199 > 2**18 // M rows per tile, so the sum spans several tiles
+    _assert_agrees_with_breakpoints(1.0, 1200.0)
+
+
+def test_pairwise_report_fields():
+    rep = mean_square_pairwise(1.0, 20.0)
+    assert (rep.method, rep.breakpoint_count) == ("pairwise", 0)
+    assert rep.mean_remainder == mean_remainder_closed(1.0, 20.0)
+    assert 0.0 < rep.error_bound < 1e-9 * rep.mean_square
+    empty = mean_square_pairwise(1.0, 0.5)  # no occupied rows: the remainder is constant
+    assert empty.mean_square == empty.mean_remainder**2
+
+
+def test_pairwise_refuses_rows_beyond_its_ceiling_before_building_them(monkeypatch):
+    import shearcount.stats as stats
+
+    class Built(Exception):
+        pass
+
+    def rows_built(*args):
+        raise Built
+
+    monkeypatch.setattr(stats, "rows", rows_built)
+    ceiling = stats._MAX_PAIRWISE_ROWS
+    with pytest.raises(RangeExceeded, match=rf"M = {ceiling + 1} exceeds"):
+        mean_square_pairwise(1.0, ceiling + 1.5)
+    with pytest.raises(RangeExceeded, match=r"M = 49999 exceeds"):
+        mean_square_pairwise(1e-4, 500.0)
+    with pytest.raises(Built):  # the ceiling itself is accepted
+        mean_square_pairwise(1.0, ceiling + 0.5)
+
+
+def test_pairwise_sweep_rows_do_not_depend_on_the_thread_count():
+    cfg = SweepConfig(y_values=(1.0, 0.5), radius_min=300.0, radius_max=900.0, samples=3, integrator="pairwise")
+    one, four = sweep(cfg, threads=1), sweep(cfg, threads=4)
+    assert [r.method for r in one] == ["pairwise"] * 6
+    assert [(r.y, r.T, r.mean_square, r.mean_remainder, r.error_bound) for r in one] == [
+        (r.y, r.T, r.mean_square, r.mean_remainder, r.error_bound) for r in four
+    ]
 
 
 # ---- parseval-assembled integrator ----
