@@ -51,6 +51,7 @@ from .stats import (
     lower_bound_witness,
     mean_remainder_closed,
     mean_square_breakpoints,
+    mean_square_grid,
     mean_square_pairwise,
     mean_square_parseval,
     mean_square_upper_bound,
@@ -94,6 +95,7 @@ __all__ = [
     "mean_remainder_closed",
     "mean_square_breakpoints",
     "mean_square_certificate",
+    "mean_square_grid",
     "mean_square_pairwise",
     "mean_square_parseval",
     "mean_square_upper_bound",

@@ -7,7 +7,7 @@ two sawtooths in closed form.  Its O(M**2) sum over row pairs, M = T/sqrt(y),
 needs O(M) memory, no sort and no truncation, and serves the CLI and
 :func:`sweep` by default.
 
-Two independent integrators check it.  As x sweeps [0, 1) at fixed (y, T)
+Independent integrators check it.  As x sweeps [0, 1) at fixed (y, T)
 the count is piecewise constant: row m gains or loses a point exactly when
 one of its interval endpoints -+hw_m - m*x crosses an integer.  Enumerating
 those crossings gives the exact jump set (:func:`breakpoints`), and
@@ -18,7 +18,8 @@ one vectorised pass and merged by one in-place sort of int64 keys:
 crossings closer than 1e-13 share a key, so coincident jumps are summed
 exactly in integers, independent of their order; the events grow like
 2*T**2/y, which caps the sweep.  :func:`mean_square_parseval` assembles the
-mean square from the truncated cosine spectrum instead.
+mean square from the truncated cosine spectrum instead, and
+:func:`mean_square_grid` gives a statistical midpoint-rule estimate.
 
 Counting convention for the integrals: point counts are strict (boundary
 vectors excluded), but when sqrt(y)*T is an integer the two vectors
@@ -61,6 +62,7 @@ __all__ = [
     "SweepConfig",
     "breakpoints",
     "mean_square_breakpoints",
+    "mean_square_grid",
     "mean_square_pairwise",
     "mean_square_parseval",
     "mean_remainder_closed",
@@ -414,6 +416,33 @@ def _b2_less_sixth(u: np.ndarray) -> np.ndarray:
     np.subtract(u, 1.0, out=f)
     u *= f
     return u
+
+
+def mean_square_grid(y: float, T: float, grid_points: int = 1 << 16) -> MeanSquareReport:
+    """Midpoint-rule approximation of the period mean and mean square.
+
+    An independent check on the exact integrators, sharing only the row
+    count with them; neither the CLI nor :func:`sweep` uses it.  The
+    integrand is piecewise constant, so the midpoint rule carries no
+    smoothness order; treat the result as statistical and compare two
+    resolutions to gauge it.  error_bound is left at 0 for that reason.
+    """
+    if grid_points < 16 or grid_points != int(grid_points):
+        raise InvalidParameter(f"grid_points must be an integer >= 16, got {grid_points}")
+    scaled_radius(y, T)
+    t0 = time.perf_counter()
+    G = int(grid_points)
+    _, axis_tie = snap_integer(math.sqrt(y) * T, DEFAULT_TIE_EPS)
+    adj = 2 if axis_tie else 0
+    area = math.pi * T * T
+    r = np.empty(G)
+    for j in range(G):
+        x = (j + 0.5) / G
+        r[j] = count_rowslice(ShearPoint(x, y), T).count + adj - area
+    mean = compensated_sum(r) / G
+    mean_sq = compensated_sum(r * r) / G
+    elapsed = (time.perf_counter() - t0) * 1e3
+    return _report_from_integral(y, T, mean, mean_sq, "grid", 0.0, 0, elapsed)
 
 
 def mean_square_parseval(

@@ -19,6 +19,7 @@ from shearcount import (
     lower_bound_witness,
     mean_remainder_closed,
     mean_square_breakpoints,
+    mean_square_grid,
     mean_square_pairwise,
     mean_square_parseval,
     mean_square_upper_bound,
@@ -327,6 +328,29 @@ def test_pairwise_sweep_rows_do_not_depend_on_the_thread_count():
     assert [(r.y, r.T, r.mean_square, r.mean_remainder, r.error_bound) for r in one] == [
         (r.y, r.T, r.mean_square, r.mean_remainder, r.error_bound) for r in four
     ]
+
+
+# ---- grid check ----
+
+
+def test_grid_equals_exact_on_constant_integrand():
+    g = mean_square_grid(1.0, 0.5, 64)
+    e = mean_square_breakpoints(1.0, 0.5)
+    assert (g.mean_remainder, g.mean_square) == (e.mean_remainder, e.mean_square)
+    assert g.method == "grid"
+
+
+def test_grid_self_consistency_and_accuracy():
+    g14 = mean_square_grid(1.0, 20.0, 1 << 14)
+    g15 = mean_square_grid(1.0, 20.0, 1 << 15)
+    exact = mean_square_breakpoints(1.0, 20.0)
+    assert abs(g14.mean_square - g15.mean_square) < 0.01 * exact.mean_square
+    assert abs(g15.mean_square - exact.mean_square) < 0.02 * exact.mean_square
+
+
+def test_grid_rejects_tiny_grids():
+    with pytest.raises(InvalidParameter):
+        mean_square_grid(1.0, 2.0, 8)
 
 
 # ---- parseval-assembled integrator ----
