@@ -16,14 +16,7 @@ from .errors import InvalidParameter, RangeExceeded
 from .formula import count_formula
 from .fourier import cosine_spectrum, write_spectrum_csv
 from .lattice import ShearPoint, count_enumerate, count_rowslice
-from .stats import (
-    SweepConfig,
-    mean_square_breakpoints,
-    mean_square_pairwise,
-    mean_square_parseval,
-    sweep,
-    write_sweep_csv,
-)
+from .stats import INTEGRATORS, SweepConfig, sweep, write_sweep_csv
 from .verify import format_table, run_verification
 
 EXIT_OK = 0
@@ -58,9 +51,7 @@ def _build_parser() -> _Parser:
     m = sub.add_parser("meansquare", help="period mean square of the remainder at one (y, radius)")
     m.add_argument("--y", type=float, required=True)
     m.add_argument("--radius", type=float, required=True)
-    m.add_argument("--integrator", choices=("pairwise", "breakpoints", "parseval"), default="pairwise")
-    m.add_argument("--kmax", type=int, default=None, help="spectrum length for --integrator parseval")
-    m.add_argument("--nmax", type=int, default=None, help="harmonic cutoff for --integrator parseval")
+    m.add_argument("--integrator", choices=tuple(INTEGRATORS), default="pairwise")
     m.add_argument("--out", default=None, help="CSV destination (default: stdout)")
 
     s = sub.add_parser("sweep", help="mean-square reports over a (y, radius) grid")
@@ -69,9 +60,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--radius-max", type=float, required=True)
     s.add_argument("--samples", type=int, required=True)
     s.add_argument("--log", action="store_true", help="log-spaced radii")
-    s.add_argument(
-        "--integrator", choices=("pairwise", "breakpoints", "parseval-assembled"), default="pairwise"
-    )
+    s.add_argument("--integrator", choices=tuple(INTEGRATORS), default="pairwise")
     s.add_argument("--threads", type=int, default=None, help="worker count (default: SHEARCOUNT_THREADS or all cores)")
     s.add_argument("--timing", action="store_true", help="record wall-clock ms per row (breaks byte reproducibility)")
     s.add_argument("--out", required=True)
@@ -126,12 +115,7 @@ def _cmd_count(args) -> int:
 def _cmd_meansquare(args) -> int:
     _positive(args.y, "--y")
     _positive(args.radius, "--radius")
-    if args.integrator == "pairwise":
-        report = mean_square_pairwise(args.y, args.radius)
-    elif args.integrator == "breakpoints":
-        report = mean_square_breakpoints(args.y, args.radius)
-    else:
-        report = mean_square_parseval(args.y, args.radius, args.kmax, args.nmax)
+    report = INTEGRATORS[args.integrator](args.y, args.radius)
     if args.out:
         with open(args.out, "w") as fh:
             write_sweep_csv([report], fh)
@@ -192,6 +176,10 @@ def _cmd_spectrum(args) -> int:
 def _cmd_verify(args) -> int:
     if args.cases < 0:
         raise _UsageError(f"--cases must be >= 0, got {args.cases}")
+    if not 1.0 < args.tmax < math.inf:
+        raise _UsageError(f"--tmax must satisfy 1 < tmax < inf, got {args.tmax}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.cases == 0:
         print("warning: 0 cases requested; verification is vacuous")
         return EXIT_OK

@@ -268,18 +268,21 @@ def read_spectrum_csv(stream) -> tuple[np.ndarray, float]:
         raise InvalidParameter(f"unexpected spectrum header {header!r}")
     coeffs = []
     bound = 0.0
-    for line in stream:
+    for lineno, line in enumerate(stream, start=2):
         line = line.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            key, _, val = line.lstrip("# ").partition("=")
-            if key == "l2_truncation_bound":
-                bound = float(val)
-            continue
-        k_str, _, c_str = line.partition(",")
-        k = int(k_str)
+        try:
+            if line.startswith("#"):
+                key, _, val = line.lstrip("# ").partition("=")
+                if key == "l2_truncation_bound":
+                    bound = float(val)
+                continue
+            k_str, _, c_str = line.partition(",")
+            k, c = int(k_str), float(c_str)
+        except ValueError as exc:
+            raise InvalidParameter(f"line {lineno}: malformed spectrum line {line!r}") from exc
         if k != len(coeffs) + 1:
-            raise InvalidParameter(f"non-contiguous frequency index {k}")
-        coeffs.append(float(c_str))
+            raise InvalidParameter(f"line {lineno}: non-contiguous frequency index {k}")
+        coeffs.append(c)
     return np.asarray(coeffs), bound

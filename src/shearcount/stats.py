@@ -18,8 +18,8 @@ one vectorised pass and merged by one in-place sort of int64 keys:
 crossings closer than 1e-13 share a key, so coincident jumps are summed
 exactly in integers, independent of their order; the events grow like
 2*T**2/y, which caps the sweep.  :func:`mean_square_parseval` assembles the
-mean square from the truncated cosine spectrum instead, and
-:func:`mean_square_grid` gives a statistical midpoint-rule estimate.
+mean square from the truncated cosine spectrum instead.  ``INTEGRATORS``
+maps the names that :func:`sweep` and the CLI accept to these three.
 
 Counting convention for the integrals: point counts are strict (boundary
 vectors excluded), but when sqrt(y)*T is an integer the two vectors
@@ -36,7 +36,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,7 +62,6 @@ __all__ = [
     "SweepConfig",
     "breakpoints",
     "mean_square_breakpoints",
-    "mean_square_grid",
     "mean_square_pairwise",
     "mean_square_parseval",
     "mean_remainder_closed",
@@ -125,7 +124,8 @@ class MeanSquareReport:
     + y**1.5 * T and ``ratio`` divides the mean square by it.  Rows produced
     inside a sweep carry a nonempty ``error`` instead of numbers when the
     integrator refused the parameters, and the refusal's exception class in
-    ``error_class`` (not written to CSV).
+    ``error_class`` (not written to CSV).  ``elapsed_ms`` is the row's wall
+    time, set by :func:`sweep`; the integrators leave it at 0.
     """
 
     y: float
@@ -261,7 +261,6 @@ def _report_from_integral(
     method: str,
     error_bound: float,
     breakpoint_count: int,
-    elapsed_ms: float,
 ) -> MeanSquareReport:
     ub = mean_square_upper_bound(y, T)
     return MeanSquareReport(
@@ -274,7 +273,6 @@ def _report_from_integral(
         upper_bound_value=ub,
         ratio=mean_sq / ub,
         breakpoint_count=breakpoint_count,
-        elapsed_ms=elapsed_ms,
     )
 
 
@@ -283,10 +281,9 @@ def mean_square_breakpoints(y: float, T: float) -> MeanSquareReport:
 
     One pass over the sorted events maintains the running count; segment
     contributions are accumulated with compensated summation, so the result
-    is exact up to a few ulps of the accumulated magnitudes (reported as
-    error_bound).
+    is exact up to a few ulps of the accumulated magnitudes plus the move of
+    every jump onto the merge grid (together reported as error_bound).
     """
-    t0 = time.perf_counter()
     sw = breakpoints(y, T)
     lengths, counts = sw.segment_counts()
     if sw.axis_tie:
@@ -298,8 +295,11 @@ def mean_square_breakpoints(y: float, T: float) -> MeanSquareReport:
     # summation itself (mean_sq is already the absolute term mass)
     eps = np.finfo(float).eps
     error_bound = eps * (2.0 * math.pi * T * T * compensated_sum(lengths * np.abs(r)) + (sw.xs.size + 2) * mean_sq)
-    elapsed = (time.perf_counter() - t0) * 1e3
-    return _report_from_integral(y, T, mean, mean_sq, "breakpoints", error_bound, int(sw.xs.size), elapsed)
+    # each jump sits at most half a grid step plus the rounding of its
+    # position away from its crossing, which moves the integral of r**2 by at
+    # most one grid step times the change of r**2 across the jump
+    error_bound += float(np.sum(np.abs(np.diff(r * r)))) / _MERGE_SCALE
+    return _report_from_integral(y, T, mean, mean_sq, "breakpoints", error_bound, int(sw.xs.size))
 
 
 def mean_remainder_closed(y: float, T: float) -> float:
@@ -348,7 +348,6 @@ def mean_square_pairwise(y: float, T: float) -> MeanSquareReport:
     computed half-widths.  Rows beyond M = 20,000 raise RangeExceeded
     before anything is allocated.
     """
-    t0 = time.perf_counter()
     M = row_limit(scaled_radius(y, T))
     if M > _MAX_PAIRWISE_ROWS:
         raise RangeExceeded(f"row count M = {M} exceeds the pairwise ceiling {_MAX_PAIRWISE_ROWS}")
@@ -358,8 +357,7 @@ def mean_square_pairwise(y: float, T: float) -> MeanSquareReport:
     mean_sq = _franel_sum(ms, g) + mu * mu
     log_term = 1.0 + math.log(max(M, 1))
     error_bound = math.ulp(1.0) * (log_term**3 * (24.0 * T * T + 48.0 * M) + mean_sq)
-    elapsed = (time.perf_counter() - t0) * 1e3
-    return _report_from_integral(y, T, mu, mean_sq, "pairwise", error_bound, 0, elapsed)
+    return _report_from_integral(y, T, mu, mean_sq, "pairwise", error_bound, 0)
 
 
 def _franel_sum(ms: np.ndarray, g: np.ndarray) -> float:
@@ -418,52 +416,26 @@ def _b2_less_sixth(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def mean_square_grid(y: float, T: float, grid_points: int = 1 << 16) -> MeanSquareReport:
-    """Midpoint-rule approximation of the period mean and mean square.
-
-    An independent check on the exact integrators, sharing only the row
-    count with them; neither the CLI nor :func:`sweep` uses it.  The
-    integrand is piecewise constant, so the midpoint rule carries no
-    smoothness order; treat the result as statistical and compare two
-    resolutions to gauge it.  error_bound is left at 0 for that reason.
-    """
-    if grid_points < 16 or grid_points != int(grid_points):
-        raise InvalidParameter(f"grid_points must be an integer >= 16, got {grid_points}")
-    scaled_radius(y, T)
-    t0 = time.perf_counter()
-    G = int(grid_points)
-    _, axis_tie = snap_integer(math.sqrt(y) * T, DEFAULT_TIE_EPS)
-    adj = 2 if axis_tie else 0
-    area = math.pi * T * T
-    r = np.empty(G)
-    for j in range(G):
-        x = (j + 0.5) / G
-        r[j] = count_rowslice(ShearPoint(x, y), T).count + adj - area
-    mean = compensated_sum(r) / G
-    mean_sq = compensated_sum(r * r) / G
-    elapsed = (time.perf_counter() - t0) * 1e3
-    return _report_from_integral(y, T, mean, mean_sq, "grid", 0.0, 0, elapsed)
-
-
-def mean_square_parseval(
-    y: float, T: float, k_max: int | None = None, n_max: int | None = None
-) -> MeanSquareReport:
-    """Mean square assembled from the cosine spectrum.
+def mean_square_parseval(y: float, T: float) -> MeanSquareReport:
+    """Mean square assembled from the cosine spectrum at auto_truncation(y, T).
 
     The remainder is the oscillatory part plus the constant
     mean_remainder_closed, and the oscillatory part has period mean zero, so
     the mean square is the Parseval value plus the squared mean; the Parseval
     error bound carries over unchanged.
     """
-    t0 = time.perf_counter()
-    if k_max is None or n_max is None:
-        k_auto, n_auto = auto_truncation(y, T)
-        k_max = k_auto if k_max is None else k_max
-        n_max = n_auto if n_max is None else n_max
-    value, err = parseval_mean_square(y, T, int(k_max), int(n_max))
+    value, err = parseval_mean_square(y, T, *auto_truncation(y, T))
     mu = mean_remainder_closed(y, T)
-    elapsed = (time.perf_counter() - t0) * 1e3
-    return _report_from_integral(y, T, mu, value + mu * mu, "parseval-assembled", err, 0, elapsed)
+    return _report_from_integral(y, T, mu, value + mu * mu, "parseval-assembled", err, 0)
+
+
+#: The integrators that sweep and the CLI select by name; each maps (y, T)
+#: to a MeanSquareReport named by its ``method``.
+INTEGRATORS = {
+    "pairwise": mean_square_pairwise,
+    "breakpoints": mean_square_breakpoints,
+    "parseval-assembled": mean_square_parseval,
+}
 
 
 def lower_bound_witness(y: float, k: int) -> LowerBoundWitness:
@@ -514,16 +486,10 @@ class SweepConfig:
         return np.linspace(self.radius_min, self.radius_max, self.samples)
 
 
-_INTEGRATORS = ("pairwise", "breakpoints", "parseval-assembled")
-
-
 def _sweep_row(y: float, T: float, config: SweepConfig) -> MeanSquareReport:
+    t0 = time.perf_counter()
     try:
-        if config.integrator == "pairwise":
-            return mean_square_pairwise(y, T)
-        if config.integrator == "breakpoints":
-            return mean_square_breakpoints(y, T)
-        return mean_square_parseval(y, T)
+        report = INTEGRATORS[config.integrator](y, T)
     except ShearCountError as exc:
         nan = float("nan")
         return MeanSquareReport(
@@ -539,6 +505,7 @@ def _sweep_row(y: float, T: float, config: SweepConfig) -> MeanSquareReport:
             error=str(exc),
             error_class=type(exc),
         )
+    return replace(report, elapsed_ms=(time.perf_counter() - t0) * 1e3)
 
 
 def default_threads() -> int:
@@ -563,8 +530,8 @@ def sweep(config: SweepConfig, threads: int | None = None) -> list[MeanSquareRep
     the output does not depend on the worker count.  Integrator errors are
     recorded on the affected row instead of aborting the sweep.
     """
-    if config.integrator not in _INTEGRATORS:
-        raise InvalidParameter(f"integrator must be one of {_INTEGRATORS}, got {config.integrator!r}")
+    if config.integrator not in INTEGRATORS:
+        raise InvalidParameter(f"integrator must be one of {tuple(INTEGRATORS)}, got {config.integrator!r}")
     if config.samples < 0:
         raise InvalidParameter(f"samples must be >= 0, got {config.samples}")
     for y in config.y_values:
@@ -612,13 +579,13 @@ def read_sweep_csv(stream) -> list[MeanSquareReport]:
         raise InvalidParameter(f"unexpected sweep header {header!r}")
     with_errors = header.endswith(",error")
     reports = []
-    for line in stream:
+    for lineno, line in enumerate(stream, start=2):
         line = line.rstrip("\n")
         if not line:
             continue
         parts = line.split(",")
-        reports.append(
-            MeanSquareReport(
+        try:
+            report = MeanSquareReport(
                 T=float(parts[0]),
                 y=float(parts[1]),
                 mean_square=float(parts[2]),
@@ -631,5 +598,7 @@ def read_sweep_csv(stream) -> list[MeanSquareReport]:
                 error_bound=0.0,
                 error=parts[9] if with_errors and len(parts) > 9 else "",
             )
-        )
+        except (IndexError, ValueError) as exc:
+            raise InvalidParameter(f"line {lineno}: malformed sweep row {line!r}") from exc
+        reports.append(report)
     return reports

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidParameter
 from .formula import (
     chord_identity_residual,
     chord_length_sum,
@@ -23,7 +24,7 @@ from .formula import (
 )
 from .fourier import mean_square_certificate, parseval_mean_square
 from .lattice import ShearPoint, count_enumerate, count_rowslice
-from .stats import breakpoints, mean_remainder_closed, mean_square_breakpoints, mean_square_pairwise
+from .stats import mean_remainder_closed, mean_square_breakpoints, mean_square_pairwise
 
 
 @dataclass
@@ -40,7 +41,9 @@ def sample_tie_free_cases(
     rng: np.random.Generator, cases: int, tmax: float
 ) -> list[tuple[float, float, float]]:
     """(x, y, T) triples with y in [0.5, 4], T in (1, tmax], resampled until
-    both counting methods report zero boundary ties."""
+    both counting methods report zero boundary ties; tmax must lie in (1, inf)."""
+    if not 1.0 < tmax < math.inf:
+        raise InvalidParameter(f"tmax must satisfy 1 < tmax < inf, got {tmax}")
     out = []
     while len(out) < cases:
         x = float(rng.uniform(0.0, 1.0))
@@ -55,26 +58,14 @@ def sample_tie_free_cases(
     return out
 
 
-def breakpoint_grid_error(y: float, T: float) -> float:
-    """Error of mean_square_breakpoints that its error_bound leaves out.
-
-    breakpoints places every jump on the merge grid of 1e-13, a move of at
-    most 5e-14 plus the rounding of the position; a jump moved by that much
-    changes the integral of r**2 by at most 1e-13 times the change of r**2
-    across it.
-    """
-    sw = breakpoints(y, T)
-    _, counts = sw.segment_counts()
-    r = counts + (2 if sw.axis_tie else 0) - math.pi * T * T
-    return 1e-13 * float(np.sum(np.abs(np.diff(r * r))))
-
-
 def run_verification(
     seed: int = 42,
     cases: int = 500,
     tmax: float = 150.0,
     inject_fault: bool = False,
 ) -> list[VerifyCheck]:
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     checks: list[VerifyCheck] = []
     if cases == 0:
@@ -128,7 +119,7 @@ def run_verification(
         if d > worst:
             worst, bad = d, f"y={y!r} T={T!r} sweep={bp.mean_remainder!r} closed={want!r}"
         pw = mean_square_pairwise(y, T)
-        allowed = pw.error_bound + bp.error_bound + breakpoint_grid_error(y, T)
+        allowed = pw.error_bound + bp.error_bound
         d = abs(pw.mean_square - bp.mean_square) / allowed
         if d > worst_pw:
             worst_pw, bad_pw = d, (

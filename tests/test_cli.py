@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from shearcount import CountResult, read_spectrum_csv, read_sweep_csv
+from shearcount import CountResult, InvalidParameter, read_spectrum_csv, read_sweep_csv, run_verification
 from shearcount.cli import main
+from shearcount.stats import INTEGRATORS
 
 
 def run(args, capsys):
@@ -71,7 +72,7 @@ def test_meansquare_with_empty_jump_set(capsys):
     assert out.strip().splitlines()[1].split(",")[7] == "0"
 
 
-def test_meansquare_range_exceeded_suggests_grid(capsys):
+def test_meansquare_breakpoints_refuses_beyond_its_event_ceiling(capsys):
     code, _, err = run(["meansquare", "--y", "0.0001", "--radius", "500", "--integrator", "breakpoints"], capsys)
     assert code == 3
     assert "exceeds 1e+08" in err
@@ -89,11 +90,25 @@ def test_meansquare_default_is_pairwise_and_refuses_beyond_its_ceiling(capsys):
 
 
 def test_meansquare_parseval(capsys):
-    code, out, _ = run(["meansquare", "--y", "1", "--radius", "1.5", "--integrator", "parseval"], capsys)
+    code, out, _ = run(["meansquare", "--y", "1", "--radius", "1.5", "--integrator", "parseval-assembled"], capsys)
     assert code == 0
     row = out.strip().splitlines()[1]
     assert row.split(",")[6] == "parseval-assembled"
     assert float(row.split(",")[2]) == pytest.approx(0.8842141576794406, abs=0.01)
+
+
+@pytest.mark.parametrize("integrator", sorted(INTEGRATORS))
+def test_meansquare_row_equals_the_sweep_row(integrator, tmp_path, capsys):
+    code, out, _ = run(["meansquare", "--y", "2.5", "--radius", "7.3", "--integrator", integrator], capsys)
+    assert code == 0
+    path = tmp_path / "s.csv"
+    code, _, _ = run(
+        ["sweep", "--y", "2.5", "--radius-min", "7.3", "--radius-max", "7.3", "--samples", "1",
+         "--integrator", integrator, "--threads", "1", "--out", str(path)],
+        capsys,
+    )
+    assert code == 0
+    assert out == path.read_text()
 
 
 # ---- sweep ----
@@ -110,6 +125,17 @@ def test_sweep_file_output(tmp_path, capsys):
         reports = read_sweep_csv(fh)
     assert len(reports) == 5
     assert all(r.method == "pairwise" for r in reports)
+
+
+def test_sweep_timing_records_elapsed_ms(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    code, _, _ = run(
+        ["sweep", "--y", "1", "--radius-min", "300", "--radius-max", "300", "--samples", "1",
+         "--integrator", "breakpoints", "--timing", "--out", str(path)],
+        capsys,
+    )
+    assert code == 0
+    assert int(path.read_text().splitlines()[1].split(",")[8]) > 0
 
 
 def test_sweep_zero_samples_header_only(tmp_path, capsys):
@@ -226,3 +252,20 @@ def test_verify_injected_fault_detected(capsys):
     code, out, _ = run(["verify", "--seed", "42", "--cases", "20", "--inject-fault"], capsys)
     assert code == 4
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("flags", ["--tmax 1", "--tmax 0.5", "--tmax -5", "--tmax inf", "--tmax nan", "--seed -1"])
+def test_verify_rejects_bad_tmax_and_seed(flags):
+    # a subprocess with a timeout, so that a sampler that never ends fails the test
+    flag, value = flags.split()
+    proc = subprocess.run([sys.executable, "-m", "shearcount", "verify", "--cases", "1", flag, value],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert flag in proc.stderr
+
+
+def test_verification_library_rejects_bad_tmax_and_seed():
+    with pytest.raises(InvalidParameter, match="tmax"):
+        run_verification(cases=1, tmax=math.inf)
+    with pytest.raises(InvalidParameter, match="seed"):
+        run_verification(seed=-1, cases=1)

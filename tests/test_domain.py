@@ -25,7 +25,6 @@ from shearcount import (
     mean_remainder_closed,
     mean_square_breakpoints,
     mean_square_certificate,
-    mean_square_grid,
     mean_square_pairwise,
     mean_square_parseval,
     mean_square_upper_bound,
@@ -42,7 +41,6 @@ BAD = [0.0, -1.0, math.inf, math.nan]
 HEIGHT_AND_RADIUS = {
     "breakpoints": breakpoints,
     "mean_square_pairwise": mean_square_pairwise,
-    "mean_square_grid": lambda y, T: mean_square_grid(y, T, 16),
     "mean_square_breakpoints": mean_square_breakpoints,
     "mean_square_parseval": mean_square_parseval,
     "mean_remainder_closed": mean_remainder_closed,

@@ -185,3 +185,9 @@ def test_spectrum_csv_round_trip():
     coeffs, bound = read_spectrum_csv(buf)
     assert np.array_equal(coeffs, s.coeffs)
     assert bound == s.l2_truncation_bound
+
+
+@pytest.mark.parametrize("line", ["x,1", "1", "# l2_truncation_bound=x"])
+def test_spectrum_csv_malformed_line_is_invalid(line):
+    with pytest.raises(InvalidParameter, match="line 3"):
+        read_spectrum_csv(io.StringIO("k,c_k\n1,0.5\n" + line + "\n"))

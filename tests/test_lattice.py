@@ -10,6 +10,7 @@ from shearcount import (
     InvalidParameter,
     RangeExceeded,
     ShearPoint,
+    count_decomposition,
     count_enumerate,
     count_formula,
     count_rowslice,
@@ -140,10 +141,10 @@ def test_gauss_order_sanity():
 
 # ---- exact arithmetic at ties ----
 
-def exact_count(x: Fraction, y: Fraction, T2: Fraction) -> tuple[int, bool]:
+def exact_count(x: Fraction, y: Fraction, T2: Fraction) -> tuple[int, int]:
     """Strict count of m**2 y**2 + (m x + n)**2 < T2 y in rational
-    arithmetic, and whether some (m, n) lies exactly on the circle."""
-    count, on_circle = 0, False
+    arithmetic, and how many (m, n) lie exactly on the circle."""
+    count, on_circle = 0, 0
     m_max = math.isqrt(math.floor(T2 / y))  # every m with m**2 y**2 <= T2 y
     for m in range(-m_max, m_max + 1):
         rhs = T2 * y - m * m * y * y
@@ -152,7 +153,7 @@ def exact_count(x: Fraction, y: Fraction, T2: Fraction) -> tuple[int, bool]:
         for n in range(math.floor(-c) - r, math.ceil(-c) + r + 1):
             lhs = (c + n) ** 2
             count += lhs < rhs
-            on_circle |= lhs == rhs
+            on_circle += lhs == rhs
     return count, on_circle
 
 
@@ -191,3 +192,19 @@ def test_counters_match_exact_arithmetic_at_ties(case):
             assert result.count == want
     # snapping keeps the strict inequality at exact rational ties as well
     assert rowslice.count == want
+
+
+@pytest.mark.parametrize(
+    "y,k", [(Fraction(1), 3), (Fraction(2), 4), (Fraction(1, 4), 3), (Fraction(9, 4), 6), (Fraction(3), 7)]
+)
+def test_axis_tie_counts_the_column_by_its_decomposition_value(y, k):
+    # sqrt(y)*T = k puts (0, +-k) on the circle for every x; the decomposition
+    # counts them, so its total is the strict count + 2 at tie-free x
+    T2 = k * k / y
+    T = math.sqrt(float(T2))
+    for j in range(64):
+        x = Fraction(2 * j + 1, 128)
+        want, on_circle = exact_count(x, y, T2)
+        assert on_circle == 2  # (0, +-k) alone: x is otherwise tie-free
+        total = count_decomposition(ShearPoint(float(x), float(y)), T).total
+        assert abs(total - (want + 2)) < 1e-6

@@ -19,7 +19,6 @@ from shearcount import (
     lower_bound_witness,
     mean_remainder_closed,
     mean_square_breakpoints,
-    mean_square_grid,
     mean_square_pairwise,
     mean_square_parseval,
     mean_square_upper_bound,
@@ -29,7 +28,7 @@ from shearcount import (
 )
 from shearcount.lattice import halfwidths, row_limit, scaled_radius
 from shearcount.numerics import snap_integer
-from shearcount.verify import breakpoint_grid_error
+from shearcount.stats import SWEEP_HEADER
 
 MEAN_GRID = [(y, T) for T in (1.5, 7.3, 20.0, 50.0) for y in (0.7, 1.0, 2.5)]
 INTEGER_GRID = [(y, float(T)) for y in (1.0, 2.0, 4.0) for T in range(1, 41)]
@@ -178,6 +177,15 @@ def test_mean_square_radius_two():
     assert rep.mean_remainder == pytest.approx(want, abs=1e-12)
 
 
+def test_breakpoint_error_bound_covers_the_merge_grid():
+    # y = 1, T = 2: the count plus the axis tie is 13 on (2 - sqrt(3), sqrt(3) - 1)
+    # and 11 elsewhere, while the jumps sit on the 1e-13 grid
+    rep = mean_square_breakpoints(1.0, 2.0)
+    inner = 2.0 * math.sqrt(3.0) - 3.0
+    exact = (1.0 - inner) * (11.0 - 4.0 * math.pi) ** 2 + inner * (13.0 - 4.0 * math.pi) ** 2
+    assert abs(rep.mean_square - exact) <= rep.error_bound
+
+
 def test_mean_square_cauchy_schwarz():
     rep = mean_square_breakpoints(1.0, 50.0)
     assert rep.mean_square >= rep.mean_remainder**2
@@ -246,10 +254,8 @@ def _assert_matches_reference(y, T):
 
 
 def _assert_agrees_with_breakpoints(y, T):
-    # breakpoints' error_bound leaves out its 1e-13 merge grid, which alone
-    # moves the mean square at (1, 2) by 1.0e-13 (pairwise is exact there)
     pw, bp = mean_square_pairwise(y, T), mean_square_breakpoints(y, T)
-    allowed = pw.error_bound + bp.error_bound + breakpoint_grid_error(y, T)
+    allowed = pw.error_bound + bp.error_bound
     assert abs(pw.mean_square - bp.mean_square) <= allowed
     assert abs(pw.mean_remainder - bp.mean_remainder) <= 1e-9 * (1.0 + math.pi * T * T)
 
@@ -328,29 +334,6 @@ def test_pairwise_sweep_rows_do_not_depend_on_the_thread_count():
     assert [(r.y, r.T, r.mean_square, r.mean_remainder, r.error_bound) for r in one] == [
         (r.y, r.T, r.mean_square, r.mean_remainder, r.error_bound) for r in four
     ]
-
-
-# ---- grid check ----
-
-
-def test_grid_equals_exact_on_constant_integrand():
-    g = mean_square_grid(1.0, 0.5, 64)
-    e = mean_square_breakpoints(1.0, 0.5)
-    assert (g.mean_remainder, g.mean_square) == (e.mean_remainder, e.mean_square)
-    assert g.method == "grid"
-
-
-def test_grid_self_consistency_and_accuracy():
-    g14 = mean_square_grid(1.0, 20.0, 1 << 14)
-    g15 = mean_square_grid(1.0, 20.0, 1 << 15)
-    exact = mean_square_breakpoints(1.0, 20.0)
-    assert abs(g14.mean_square - g15.mean_square) < 0.01 * exact.mean_square
-    assert abs(g15.mean_square - exact.mean_square) < 0.02 * exact.mean_square
-
-
-def test_grid_rejects_tiny_grids():
-    with pytest.raises(InvalidParameter):
-        mean_square_grid(1.0, 2.0, 8)
 
 
 # ---- parseval-assembled integrator ----
@@ -455,6 +438,13 @@ def test_sweep_csv_round_trip():
     assert [(r.T, r.y, r.mean_square, r.mean_remainder, r.method) for r in back] == [
         (r.T, r.y, r.mean_square, r.mean_remainder, r.method) for r in reports
     ]
+
+
+@pytest.mark.parametrize("row", ["2.0,1.0,0.5", "2.0,1.0,x,0.1,1,0.5,pairwise,0,0"])
+def test_sweep_csv_malformed_row_is_invalid(row):
+    buf = io.StringIO(SWEEP_HEADER + "\n" + row + "\n")
+    with pytest.raises(InvalidParameter, match="line 2"):
+        read_sweep_csv(buf)
 
 
 def test_sweep_csv_error_column_only_when_needed():
