@@ -61,7 +61,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--samples", type=int, required=True)
     s.add_argument("--log", action="store_true", help="log-spaced radii")
     s.add_argument("--integrator", choices=tuple(INTEGRATORS), default="pairwise")
-    s.add_argument("--threads", type=int, default=None, help="worker count (default: SHEARCOUNT_THREADS or all cores)")
+    s.add_argument("--threads", type=int, default=None, help="worker count (default: SHEARCOUNT_THREADS or the CPUs this process may run on)")
     s.add_argument("--timing", action="store_true", help="record wall-clock ms per row (breaks byte reproducibility)")
     s.add_argument("--out", required=True)
 

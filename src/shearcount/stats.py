@@ -509,9 +509,12 @@ def _sweep_row(y: float, T: float, config: SweepConfig) -> MeanSquareReport:
 
 
 def default_threads() -> int:
-    """Worker count: SHEARCOUNT_THREADS if set, else machine parallelism."""
+    """Worker count: SHEARCOUNT_THREADS if set, else the number of CPUs this
+    process may run on (os.cpu_count() where affinity is not available)."""
     raw = os.environ.get("SHEARCOUNT_THREADS")
     if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         value = int(raw)
@@ -557,12 +560,13 @@ def write_sweep_csv(reports: list[MeanSquareReport], stream, include_timing: boo
     """Write the sweep schema with shortest round-trip float formatting.
 
     The elapsed_ms column is zeroed unless timing is requested, keeping the
-    bytes of a run reproducible across machines and worker counts.
+    bytes of a run reproducible across machines and worker counts; with
+    timing it carries three decimals, so sub-millisecond rows read nonzero.
     """
     with_errors = any(r.error for r in reports)
     stream.write(SWEEP_HEADER + (",error\n" if with_errors else "\n"))
     for r in reports:
-        elapsed = int(round(r.elapsed_ms)) if include_timing else 0
+        elapsed = f"{r.elapsed_ms:.3f}" if include_timing else "0"
         row = (
             f"{r.T!r},{r.y!r},{r.mean_square!r},{r.mean_remainder!r},"
             f"{r.upper_bound_value!r},{r.ratio!r},{r.method},{r.breakpoint_count},{elapsed}"
@@ -578,12 +582,15 @@ def read_sweep_csv(stream) -> list[MeanSquareReport]:
     if header not in (SWEEP_HEADER, SWEEP_HEADER + ",error"):
         raise InvalidParameter(f"unexpected sweep header {header!r}")
     with_errors = header.endswith(",error")
+    fields = header.count(",") + 1
     reports = []
     for lineno, line in enumerate(stream, start=2):
         line = line.rstrip("\n")
         if not line:
             continue
         parts = line.split(",")
+        if len(parts) != fields:
+            raise InvalidParameter(f"line {lineno}: {len(parts)} fields where the header has {fields}: {line!r}")
         try:
             report = MeanSquareReport(
                 T=float(parts[0]),
@@ -596,9 +603,9 @@ def read_sweep_csv(stream) -> list[MeanSquareReport]:
                 breakpoint_count=int(parts[7]),
                 elapsed_ms=float(parts[8]),
                 error_bound=0.0,
-                error=parts[9] if with_errors and len(parts) > 9 else "",
+                error=parts[9] if with_errors else "",
             )
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise InvalidParameter(f"line {lineno}: malformed sweep row {line!r}") from exc
         reports.append(report)
     return reports

@@ -135,7 +135,22 @@ def test_sweep_timing_records_elapsed_ms(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    assert int(path.read_text().splitlines()[1].split(",")[8]) > 0
+    assert float(path.read_text().splitlines()[1].split(",")[8]) > 0
+
+
+def test_sweep_timing_reads_nonzero_on_sub_millisecond_rows(tmp_path, capsys):
+    # pairwise rows this small take well under a millisecond each
+    path = tmp_path / "t.csv"
+    code, _, _ = run(
+        ["sweep", "--y", "1", "--radius-min", "2", "--radius-max", "20", "--samples", "3",
+         "--timing", "--out", str(path)],
+        capsys,
+    )
+    assert code == 0
+    with open(path) as fh:
+        reports = read_sweep_csv(fh)
+    assert len(reports) == 3
+    assert all(r.elapsed_ms > 0 for r in reports)
 
 
 def test_sweep_zero_samples_header_only(tmp_path, capsys):

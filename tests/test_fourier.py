@@ -18,8 +18,9 @@ from shearcount import (
     read_spectrum_csv,
     write_spectrum_csv,
 )
+from shearcount import fourier
 from shearcount.lattice import halfwidths, row_limit
-from shearcount.numerics import compensated_sum
+from shearcount.numerics import TEMP_ENTRIES, compensated_sum
 
 SQ125 = math.sqrt(1.25)
 FOUR_OVER_PI = 4.0 / math.pi
@@ -191,3 +192,100 @@ def test_spectrum_csv_round_trip():
 def test_spectrum_csv_malformed_line_is_invalid(line):
     with pytest.raises(InvalidParameter, match="line 3"):
         read_spectrum_csv(io.StringIO("k,c_k\n1,0.5\n" + line + "\n"))
+
+
+# The angle-addition sine kernel: sin((q*B + j)*theta) from tables of
+# sin/cos(q*B*theta) and sin/cos(j*theta).  Its argument roundings differ
+# from a direct np.sin's, so the two agree to a few ulps of the argument.
+EPS = np.finfo(float).eps
+
+
+def _kernel_sines(table, n_lo, n_hi):
+    got, covered = [], n_lo
+    for a, b, piece in table.row(0, n_lo, n_hi):
+        assert a == covered and b >= a
+        got.append(piece.copy())
+        covered = b + 1
+    assert covered == n_hi + 1
+    return np.concatenate(got)
+
+
+@pytest.mark.parametrize("hw", [0.37, math.sqrt(2.0), 17.77, 99.5, 149.99, 150.0])
+@pytest.mark.parametrize("n_lo, n_hi", [(1, 1 << 18), (1000, 5000), ((1 << 18) - 700, 1 << 18)])
+def test_sine_kernel_matches_direct_sines(hw, n_lo, n_hi):
+    table = fourier._SineTable(np.array([2.0 * math.pi * hw]), n_lo, n_hi)
+    B = table.B
+    # the whole range, and sub-ranges that start, end and straddle q*B boundaries
+    first = (n_lo // B + 1) * B
+    for a, b in [(n_lo, n_hi), (first - 1, first + 2 * B), (first, first + B - 1), (n_hi - B - 3, n_hi)]:
+        n = np.arange(a, b + 1, dtype=float)
+        want = np.sin(2.0 * math.pi * n * hw)
+        got = _kernel_sines(table, a, b)
+        assert np.all(np.abs(got - want) <= 4.0 * EPS * (1.0 + 2.0 * math.pi * n * hw))
+
+
+def test_row_sines_do_not_depend_on_the_requested_range(monkeypatch):
+    # small pieces and a small table: rows 1..4 from the table, later rows
+    # direct, and every request split into several pieces
+    monkeypatch.setattr(fourier, "_PIECE", 256)
+    hw = np.array([0.3, 1.7, 2.9, 7.25, 11.5, 12.0])
+    n_max = 3000
+    sines = fourier._RowSines(hw, n_max)
+    assert sines.tabulated == 256 // max(54, 3000 // 54 + 1) == 4
+    for m in range(1, hw.size + 1):
+        whole = np.concatenate([s.copy() for _, _, s in sines.pieces(m, 1, n_max)])
+        for a, b in [(1, 1), (17, 900), (54, 55), (2001, n_max)]:
+            part = np.concatenate([s.copy() for _, _, s in sines.pieces(m, a, b)])
+            assert np.array_equal(part, whole[a - 1 : b])
+        n = np.arange(1, n_max + 1, dtype=float)
+        assert np.all(np.abs(whole - np.sin(2.0 * math.pi * n * hw[m - 1])) <= 4.0 * EPS * (1.0 + 2.0 * math.pi * n * hw[m - 1]))
+
+
+@pytest.mark.parametrize("k_max", [300, 1 << 15, (1 << 18) + 5])
+def test_parseval_bits_match_the_spectrum_with_direct_rows_and_small_pieces(monkeypatch, k_max):
+    # as test_parseval_sums_the_squared_spectrum_bit_for_bit, with most rows
+    # past the table and every tabulated row's range split into pieces
+    monkeypatch.setattr(fourier, "_PIECE", 256)
+    n_max = k_max // 17
+    value, _ = parseval_mean_square(1.3, 20.0, k_max, n_max)
+    coeffs = cosine_spectrum(1.3, 20.0, k_max, n_max).coeffs
+    assert value == 0.5 * compensated_sum(coeffs * coeffs)
+
+
+def test_parseval_dropped_pairs_take_the_spectrum_sines():
+    # the dropped pairs of a short spectrum are the pairs a longer spectrum
+    # keeps: both must come from the same sines
+    y, T, n_max = 1.0, 9.7, 4000
+    full = cosine_spectrum(y, T, 9 * n_max, n_max).coeffs
+    k_max = 5000
+    _, bound = parseval_mean_square(y, T, k_max, n_max)
+    tail = full[k_max:]
+    eps = fourier._tail_l2_bound(9.7, 9, n_max) + math.sqrt(0.5 * compensated_sum(tail * tail))
+    value = 0.5 * compensated_sum(full[:k_max] ** 2)
+    assert bound == 2.0 * math.sqrt(value) * eps + eps * eps
+
+
+def test_sine_tables_and_scratch_stay_within_the_temporary_cap():
+    for M, n_max in [(150, 60000), (2000, 16777), (20000, 1677), (1, 1 << 25)]:
+        sines = fourier._RowSines(np.linspace(0.5, 100.0, M), n_max)
+        assert sines.tabulated >= 1
+        table = sines.table
+        for arr in (*table._rows[0], table._piece, table._temp):
+            assert (arr if arr.base is None else arr.base).size <= TEMP_ENTRIES
+
+
+@pytest.mark.parametrize("y", [1.0, 2.0, 4.0])
+def test_certificate_dominates_the_exact_mean_square_on_the_integer_grid(y):
+    for T in range(1, 41):
+        rep = mean_square_breakpoints(y, float(T))
+        exact = rep.mean_square - rep.mean_remainder**2
+        for cutoff in (2, 16, 128, 1024):
+            assert mean_square_certificate(y, float(T), cutoff) >= exact - rep.error_bound
+
+
+@pytest.mark.parametrize("y, scaled", [(0.7, 37.3), (1.0, 61.8), (2.5, 99.1), (1.3, 150.0)])
+def test_certificate_dominates_the_exact_mean_square_on_generic_rows(y, scaled):
+    T = scaled * math.sqrt(y)
+    exact = breakpoint_oscillatory_mean_square(y, T)
+    for cutoff in (2, 16, 128, 1024):
+        assert mean_square_certificate(y, T, cutoff) >= exact

@@ -1,5 +1,6 @@
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from shearcount import (
 )
 from shearcount.lattice import halfwidths, row_limit, scaled_radius
 from shearcount.numerics import snap_integer
-from shearcount.stats import SWEEP_HEADER
+from shearcount.stats import SWEEP_HEADER, default_threads
 
 MEAN_GRID = [(y, T) for T in (1.5, 7.3, 20.0, 50.0) for y in (0.7, 1.0, 2.5)]
 INTEGER_GRID = [(y, float(T)) for y in (1.0, 2.0, 4.0) for T in range(1, 41)]
@@ -445,6 +446,40 @@ def test_sweep_csv_malformed_row_is_invalid(row):
     buf = io.StringIO(SWEEP_HEADER + "\n" + row + "\n")
     with pytest.raises(InvalidParameter, match="line 2"):
         read_sweep_csv(buf)
+
+
+@pytest.mark.parametrize(
+    "header, row",
+    [
+        (SWEEP_HEADER, "2.0,1.0,1.4,0.1,4,0.35,pairwise,0,0,junk,more"),
+        (SWEEP_HEADER, "2.0,1.0,1.4,0.1,4,0.35,pairwise,0,0,"),
+        (SWEEP_HEADER + ",error", "2.0,1.0,1.4,0.1,4,0.35,pairwise,0,0"),
+        (SWEEP_HEADER + ",error", "2.0,1.0,1.4,0.1,4,0.35,pairwise,0,0,oops,more"),
+    ],
+)
+def test_sweep_csv_row_must_match_the_header_field_count(header, row):
+    buf = io.StringIO(header + "\n" + row + "\n")
+    with pytest.raises(InvalidParameter, match="line 2: .* fields where the header has"):
+        read_sweep_csv(buf)
+
+
+def test_untimed_sweep_csv_writes_zero_elapsed_ms():
+    reports = sweep(SweepConfig(y_values=(1.0,), radius_min=2.0, radius_max=9.0, samples=2), threads=1)
+    assert all(r.elapsed_ms > 0 for r in reports)
+    buf = io.StringIO()
+    write_sweep_csv(reports, buf)
+    assert [line.rsplit(",", 1)[1] for line in buf.getvalue().splitlines()[1:]] == ["0", "0"]
+
+
+def test_default_threads_counts_the_cpus_the_process_may_run_on(monkeypatch):
+    monkeypatch.delenv("SHEARCOUNT_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert default_threads() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_threads() == 64
+    monkeypatch.setenv("SHEARCOUNT_THREADS", "3")
+    assert default_threads() == 3
 
 
 def test_sweep_csv_error_column_only_when_needed():
