@@ -207,6 +207,21 @@ def _coefficients(sines: _RowSines, k_lo: int, k_hi: int, n_max: int) -> np.ndar
     return np.multiply(out, _FOUR_OVER_PI, out=out)
 
 
+def _squared_sum(sines: _RowSines, k_lo: int, k_hi: int, n_max: int) -> float:
+    """Sum of c_k**2 for k_lo <= k < k_hi, built one block of _BLOCK
+    frequencies at a time, with the bits of compensated_sum over the whole
+    range."""
+    if k_hi - k_lo <= _BLOCK:
+        block = _coefficients(sines, k_lo, k_hi, n_max)
+        return compensated_sum(np.square(block, out=block))
+    partials = []
+    for lo in range(k_lo, k_hi, _BLOCK):
+        block = _coefficients(sines, lo, min(lo + _BLOCK, k_hi), n_max)
+        partials += chunk_sums(np.square(block, out=block))
+        del block  # freed before the next block is built
+    return math.fsum(partials)
+
+
 def parseval_mean_square(y: float, T: float, k_max: int, n_max: int) -> tuple[float, float]:
     """(value, error_bound) with value = 0.5 * sum of squared coefficients.
 
@@ -219,40 +234,18 @@ def parseval_mean_square(y: float, T: float, k_max: int, n_max: int) -> tuple[fl
     The coefficients are built and squared one block of _BLOCK frequencies
     at a time, so no k_max-sized array is held.  The block sums are the
     chunk partials compensated_sum would add, so the value has the same
-    bits as summing the whole squared spectrum.
+    bits as summing the whole squared spectrum.  The dropped pairs sum to
+    exactly the coefficients c_k for k_max < k <= M*n_max, which are
+    squared and summed the same way.
     """
     scaled, _, hw = rows(y, T)
     M = hw.size
     k_max, n_max = _truncation(k_max, n_max)
     sines = _RowSines(hw, n_max)
-    if k_max <= _BLOCK:
-        block = _coefficients(sines, 1, k_max + 1, n_max)
-        value = 0.5 * compensated_sum(np.square(block, out=block))
-    else:
-        partials = []
-        for k_lo in range(1, k_max + 1, _BLOCK):
-            block = _coefficients(sines, k_lo, min(k_lo + _BLOCK, k_max + 1), n_max)
-            partials += chunk_sums(np.square(block, out=block))
-            del block  # freed before the next block is built
-        value = 0.5 * math.fsum(partials)
-
+    value = 0.5 * _squared_sum(sines, 1, k_max + 1, n_max)
     dropped = 0.0
-    if M > 0 and M * n_max > k_max:
-        ks, amps = [], []
-        for m in range(1, M + 1):
-            n_lo = k_max // m + 1
-            if n_lo > n_max:
-                continue
-            for a, b, terms in sines.pieces(m, n_lo, n_max):
-                n = np.arange(a, b + 1, dtype=float)
-                ks.append(m * n.astype(np.int64))
-                amps.append(terms / n)
-        if ks:
-            k_all = np.concatenate(ks)
-            a_all = np.concatenate(amps)
-            uniq, inv = np.unique(k_all, return_inverse=True)
-            sums = _FOUR_OVER_PI * np.bincount(inv, weights=a_all, minlength=uniq.size)
-            dropped = math.sqrt(0.5 * compensated_sum(sums**2))
+    if M * n_max > k_max:
+        dropped = math.sqrt(0.5 * _squared_sum(sines, k_max + 1, M * n_max + 1, n_max))
 
     eps = _tail_l2_bound(scaled, M, n_max) + dropped
     error_bound = 2.0 * math.sqrt(max(value, 0.0)) * eps + eps * eps

@@ -13,11 +13,12 @@ import numpy as np
 
 _CHUNK = 1 << 15
 
-#: Entries of the largest float64 temporary that a Parseval block, a
-#: certificate chunk or a pairwise tile allocates (2 MiB).  This stays under
-#: numpy's 4 MiB huge-page threshold and far under glibc's 32 MiB dynamic
-#: mmap ceiling: with 8 MiB blocks, a run's peak RSS depended on which
-#: earlier arrays had raised glibc's mmap threshold.
+#: Entries of the largest float64 temporary that a Parseval block or a
+#: certificate chunk allocates (2 MiB); pairwise bands and sine tables take
+#: a quarter of it.  This stays under numpy's 4 MiB huge-page threshold and
+#: far under glibc's 32 MiB dynamic mmap ceiling: with 8 MiB blocks, a run's
+#: peak RSS depended on which earlier arrays had raised glibc's mmap
+#: threshold.
 TEMP_ENTRIES = 1 << 18
 
 

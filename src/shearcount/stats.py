@@ -5,7 +5,12 @@ finite: the remainder is the closed-form mean plus the oscillatory part, a
 sum of sawtooth pairs, and Franel's identity integrates the product of any
 two sawtooths in closed form.  Its O(M**2) sum over row pairs, M = T/sqrt(y),
 needs O(M) memory, no sort and no truncation, and serves the CLI and
-:func:`sweep` by default.
+:func:`sweep` by default.  The kernel walks bands of (TEMP_ENTRIES // 4) // M
+rows, 2**16 entries (512 KiB) per array: it builds each band's gcd table
+from 1 by multiplying in the primes p of every prime power p**k that
+divides a row, and evaluates the difference of the two B2 terms as one
+product, (f- - f+)*(f- + f+ - 1) with f+- the fractional parts of the two
+arguments.
 
 Independent integrators check it.  As x sweeps [0, 1) at fixed (y, T)
 the count is piecewise constant: row m gains or loses a point exactly when
@@ -32,6 +37,7 @@ form of the mean holds identically; pointwise reconstruction via
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -47,6 +53,7 @@ from .lattice import (
     DEFAULT_TIE_EPS,
     ShearPoint,
     count_rowslice,
+    halfwidths,
     require_positive,
     row_limit,
     rows,
@@ -77,8 +84,8 @@ __all__ = [
 _MAX_SWEEP_EVENTS = 10**8
 
 #: Largest row count M that mean_square_pairwise accepts.  Its O(M**2) sum
-#: takes about 3 s at this M on one core of a 2 vCPU x86-64 host (0.45 s at
-#: M = 7,071, where the breakpoint sweep stops when y = 1).
+#: takes about 2.2 s at this M on one core of a 2 vCPU x86-64 host (0.33 s
+#: at M = 7,071, where the breakpoint sweep stops when y = 1).
 _MAX_PAIRWISE_ROWS = 20_000
 
 _MERGE_SCALE = 10**13  # jump locations are merged on the grid of 1e-13
@@ -338,8 +345,14 @@ def mean_square_pairwise(y: float, T: float) -> MeanSquareReport:
 
     error_bound is a priori.  |n*hw_m +- m*hw_n| <= 2*T**2, so each B2
     argument carries at most 3*eps*T**2/d of rounding, and B2 has Lipschitz
-    constant 1 on the circle; evaluating B2, the weight and the sums adds at
-    most 48*eps per unit of weight d**2/(m*n) <= M*d/(m*n).  With
+    constant 1 on the circle.  Per unit of weight d**2/(m*n) <= M*d/(m*n)
+    the rest adds under 7*eps: under 3*eps from the product form of the B2
+    difference (u - floor(u) is exact, except within eps/4 of {u} when
+    -1/2 < u < 0), under eps/2 from the three roundings of d**2/n
+    and 1/m, as the difference is at most 1/4 in size, and under 3.3*eps
+    from numpy's row sums, at most 26 roundings deep for 20,000 terms
+    (math.fsum of the row sums rounds once).  With the factor 4 that is
+    28*eps, and the bound keeps 48*eps.  With
     S = sum_{m, n <= M} gcd(m, n)/(m*n) <= (1 + log M)**3 this gives
 
         eps * ((1 + log M)**3 * (24*T**2 + 48*M) + mean_square).
@@ -351,8 +364,8 @@ def mean_square_pairwise(y: float, T: float) -> MeanSquareReport:
     M = row_limit(scaled_radius(y, T))
     if M > _MAX_PAIRWISE_ROWS:
         raise RangeExceeded(f"row count M = {M} exceeds the pairwise ceiling {_MAX_PAIRWISE_ROWS}")
-    _, ms, hw = rows(y, T)
-    g, _ = snap_integers(hw, DEFAULT_TIE_EPS)
+    ms = np.arange(1, M + 1, dtype=float)  # the rows of lattice.rows, checked once
+    g, _ = snap_integers(halfwidths(y, T, ms), DEFAULT_TIE_EPS)
     mu = mean_remainder_closed(y, T)
     mean_sq = _franel_sum(ms, g) + mu * mu
     log_term = 1.0 + math.log(max(M, 1))
@@ -364,56 +377,96 @@ def _franel_sum(ms: np.ndarray, g: np.ndarray) -> float:
     """Franel's sum for the integral of osc**2 (see mean_square_pairwise),
     over rows ms with snapped half-widths g.
 
-    The term is symmetric in (m, n), so only n >= m is summed: tiles of
-    TEMP_ENTRIES // M rows m against every n >= the tile's first row, with
-    the n < m corner zeroed.  Each tile adds twice its sum less its diagonal
-    to the partials, and math.fsum adds the partials in tile order, so the
-    value depends on M alone, not on the caller's threads.
+    The term is symmetric in (m, n), so only n >= m is summed, in bands of
+    (TEMP_ENTRIES // 4) // M rows m against every n >= the band's first row:
+    2**16 entries, 512 KiB per array, whatever the host.  In each band, with
+    d from :func:`_band_gcd` and f+- = {u+-},
+
+        B2(u-) - B2(u+) = (f- - f+) * (f- + f+ - 1)
+
+    is formed in place and multiplied by d**2/n; the n < m corner is zeroed
+    and the diagonal halved, and each row is summed and divided by m.
+    math.fsum adds the M row sums, so the value depends on M alone, not on
+    the caller's threads.
     """
     M = ms.size
     if M == 0:
         return 0.0
-    height = max(1, TEMP_ENTRIES // M)
-    divisors = [[] for _ in range(M + 1)]  # divisors[m]: the e >= 2 dividing m, increasing
-    for e in range(2, M + 1):
-        for k in range(e, M + 1, e):
-            divisors[k].append(e)
-    partials = []
+    height = max(1, (TEMP_ENTRIES // 4) // M)
+    row_sums = []
     for i0 in range(0, M, height):
         i1 = min(M, i0 + height)
         m, n = ms[i0:i1, None], ms[None, i0:]
-        # d = gcd(m, n): each common divisor e writes itself, the largest last
-        d = np.ones((i1 - i0, M - i0))
-        for e in sorted(set().union(*divisors[i0 + 1 : i1 + 1])):
-            first = -(-(i0 + 1) // e) * e - (i0 + 1)
-            d[first::e, first::e] = e
-        plus = g[i0:i1, None] * n
+        d = _band_gcd(i0, i1, M)
+        minus = g[i0:i1, None] * n  # u+- = (n*g_m +- m*g_n)/d
         cross = m * g[None, i0:]
-        minus = plus - cross
+        plus = minus + cross
+        minus -= cross
         minus /= d
-        plus += cross
         plus /= d
-        del cross
-        term = _b2_less_sixth(minus)
-        term -= _b2_less_sixth(plus)
+        np.floor(minus, out=cross)  # f+- = u+- - floor(u+-)
+        minus -= cross
+        np.floor(plus, out=cross)
+        plus -= cross
+        np.subtract(minus, plus, out=cross)  # (f- - f+)*(f- + f+ - 1)
+        minus += plus
+        minus -= 1.0
+        minus *= cross
+        del plus, cross
         d *= d
-        d /= m
         d /= n
-        term *= d
-        corner = term[:, : i1 - i0]
-        np.copyto(corner, 0.0, where=np.tri(i1 - i0, k=-1, dtype=bool))
-        partials += [2.0 * float(np.sum(term)), -float(np.sum(corner.diagonal()))]
-    return 4.0 * math.fsum(partials)
+        minus *= d
+        np.copyto(minus[:, : i1 - i0], 0.0, where=np.tri(i1 - i0, k=-1, dtype=bool))
+        minus.ravel()[:: M - i0 + 1] *= 0.5  # the diagonal n = m, counted once below
+        sums = minus.sum(axis=1)
+        sums /= ms[i0:i1]
+        row_sums += sums.tolist()
+    return 8.0 * math.fsum(row_sums)
 
 
-def _b2_less_sixth(u: np.ndarray) -> np.ndarray:
-    """B2(u) - 1/6 = f*(f - 1) with f = {u}, computed in the storage of u.
-    The 1/6 cancels in the difference of the two B2 terms."""
-    f = np.floor(u)
-    np.subtract(u, f, out=u)
-    np.subtract(u, 1.0, out=f)
-    u *= f
-    return u
+def _band_gcd(i0: int, i1: int, M: int) -> np.ndarray:
+    """gcd(m, n) for the rows i0 < m <= i1 against the columns i0 < n <= M.
+
+    Starting from 1, every prime power q = p**k that divides a row
+    multiplies the entries whose row and column it divides by p, so each
+    entry collects p once per k <= min(v_p(m), v_p(n)).  The diagonal is
+    then set to m, so a q with a single multiple among the columns, which
+    can only touch the diagonal, is skipped.
+    """
+    qs, ps = _prime_powers()
+    # q must divide a row (q <= i1) and, to reach past the diagonal, two columns (2q <= M)
+    k = int(qs.searchsorted(min(i1, M // 2), "right"))
+    qs, ps = qs[:k], ps[:k]
+    if i0:  # in the first band every such q divides the row q and the column 2q
+        hit = (i1 // qs > i0 // qs) & (M // qs - i0 // qs > 1)
+        qs, ps = qs[hit], ps[hit]
+    d = np.ones((i1 - i0, M - i0))
+    for q, p in zip(qs.tolist(), ps.tolist()):
+        first = -(i0 + 1) % q
+        d[first::q, first::q] *= p
+    d.ravel()[:: M - i0 + 1] = np.arange(i0 + 1, i1 + 1)
+    return d
+
+
+@functools.cache
+def _prime_powers() -> tuple[np.ndarray, np.ndarray]:
+    """(q, p) for the prime powers q = p**k <= _MAX_PAIRWISE_ROWS, by
+    increasing q; built on first use (about 2,300 entries)."""
+    limit = _MAX_PAIRWISE_ROWS
+    prime = np.ones(limit + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    pairs = []
+    for p in np.flatnonzero(prime).tolist():
+        q = p
+        while q <= limit:
+            pairs.append((q, p))
+            q *= p
+    table = np.array(sorted(pairs), dtype=np.int64).T.copy()
+    table.flags.writeable = False  # shared by every call
+    return table[0], table[1]
 
 
 def mean_square_parseval(y: float, T: float) -> MeanSquareReport:

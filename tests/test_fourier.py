@@ -19,7 +19,7 @@ from shearcount import (
     write_spectrum_csv,
 )
 from shearcount import fourier
-from shearcount.lattice import halfwidths, row_limit
+from shearcount.lattice import halfwidths, row_limit, rows
 from shearcount.numerics import TEMP_ENTRIES, compensated_sum
 
 SQ125 = math.sqrt(1.25)
@@ -113,6 +113,45 @@ def test_parseval_covers_dropped_pairs():
     assert abs(v_small - exact) <= e_small
     assert abs(v_full - exact) <= e_full
     assert e_full < e_small
+
+
+def _bincount_dropped(y, T, k_max, n_max):
+    """The dropped-pair amplitude as parseval_mean_square once computed it:
+    every dropped (m, n) pair in one array, grouped by k = m*n with
+    np.unique and summed with np.bincount."""
+    _, _, hw = rows(y, T)
+    sines = fourier._RowSines(hw, n_max)
+    ks, amps = [], []
+    for m in range(1, hw.size + 1):
+        n_lo = k_max // m + 1
+        if n_lo > n_max:
+            continue
+        for a, b, terms in sines.pieces(m, n_lo, n_max):
+            n = np.arange(a, b + 1, dtype=float)
+            ks.append(m * n.astype(np.int64))
+            amps.append(terms / n)
+    uniq, inv = np.unique(np.concatenate(ks), return_inverse=True)
+    sums = FOUR_OVER_PI * np.bincount(inv, weights=np.concatenate(amps), minlength=uniq.size)
+    return math.sqrt(0.5 * compensated_sum(sums**2))
+
+
+def test_parseval_dropped_pairs_stay_within_a_few_blocks_of_memory():
+    # 3.6e6 dropped pairs: the dropped coefficients are built block by block,
+    # so the peak stays near a few _BLOCK arrays instead of every pair at once
+    import tracemalloc
+
+    y, T, k_max, n_max = 1.0, 9.7, 40, 400000
+    tracemalloc.start()
+    try:
+        value, bound = parseval_mean_square(y, T, k_max, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    eps = math.sqrt(value + bound) - math.sqrt(value)  # bound = 2*sqrt(value)*eps + eps**2
+    dropped = eps - fourier._tail_l2_bound(9.7, 9, n_max)
+    expected = _bincount_dropped(y, T, k_max, n_max)
+    assert dropped == pytest.approx(expected, rel=1e-12)
 
 
 def test_parseval_quadrature_cross_check():

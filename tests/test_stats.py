@@ -28,7 +28,7 @@ from shearcount import (
     write_sweep_csv,
 )
 from shearcount.lattice import halfwidths, row_limit, scaled_radius
-from shearcount.numerics import snap_integer
+from shearcount.numerics import TEMP_ENTRIES, snap_integer
 from shearcount.stats import SWEEP_HEADER, default_threads
 
 MEAN_GRID = [(y, T) for T in (1.5, 7.3, 20.0, 50.0) for y in (0.7, 1.0, 2.5)]
@@ -221,7 +221,7 @@ INTEGER_HALFWIDTH_ROWS = [(2.0, 2.0), (1.0, math.sqrt(2.0)), (4.0, math.sqrt(5.0
 
 def _reference_oscillatory_square(y, T):
     """Franel's sum over every ordered pair (m, n), one pair at a time, with
-    math.gcd and a scalar B2: the reference for the tiled kernel.  Returns
+    math.gcd and a scalar B2: the reference for the banded kernel.  Returns
     (integral of osc**2, the absolute mass of its terms)."""
     M = row_limit(scaled_radius(y, T))
     hw = halfwidths(y, T, np.arange(1, M + 1, dtype=float))
@@ -246,7 +246,7 @@ def _reference_oscillatory_square(y, T):
 def _assert_matches_reference(y, T):
     # The kernel forms each B2 argument with the same float operations as the
     # reference; evaluation order and summation differ, by at most a few ulps
-    # per term plus log2(2**18) roundings per tile sum.  32 eps of the term
+    # per term plus at most 26 roundings per row sum.  32 eps of the term
     # mass covers both, and the squared mean adds one rounding.
     rep = mean_square_pairwise(y, T)
     ref, mass = _reference_oscillatory_square(y, T)
@@ -275,8 +275,8 @@ def test_pairwise_matches_the_pair_by_pair_reference_on_random_rows(y, scaled):
 
 @pytest.mark.parametrize("entries", [1, 256])
 def test_pairwise_tiles_match_the_pair_by_pair_reference(monkeypatch, entries):
-    # shrink the tiles so rows with M <= 60 span many of them: one row per
-    # tile, or 256 // M rows with divisors both within and beyond a tile
+    # shrink the bands so rows with M <= 60 span many of them: one row per
+    # band, or (256 // 4) // M rows with divisors both within and beyond a band
     import shearcount.stats as stats
 
     monkeypatch.setattr(stats, "TEMP_ENTRIES", entries)
@@ -296,7 +296,7 @@ def test_pairwise_agrees_with_breakpoints(y, T):
 
 
 def test_pairwise_agrees_with_breakpoints_across_several_tiles():
-    # M = 1199 > 2**18 // M rows per tile, so the sum spans several tiles
+    # M = 1199 > 2**16 // M rows per band, so the sum spans several bands
     _assert_agrees_with_breakpoints(1.0, 1200.0)
 
 
@@ -318,7 +318,7 @@ def test_pairwise_refuses_rows_beyond_its_ceiling_before_building_them(monkeypat
     def rows_built(*args):
         raise Built
 
-    monkeypatch.setattr(stats, "rows", rows_built)
+    monkeypatch.setattr(stats, "halfwidths", rows_built)
     ceiling = stats._MAX_PAIRWISE_ROWS
     with pytest.raises(RangeExceeded, match=rf"M = {ceiling + 1} exceeds"):
         mean_square_pairwise(1.0, ceiling + 1.5)
@@ -335,6 +335,74 @@ def test_pairwise_sweep_rows_do_not_depend_on_the_thread_count():
     assert [(r.y, r.T, r.mean_square, r.mean_remainder, r.error_bound) for r in one] == [
         (r.y, r.T, r.mean_square, r.mean_remainder, r.error_bound) for r in four
     ]
+
+
+def test_band_gcd_tables_match_math_gcd():
+    # every (m, n) with M = 300, at band heights 1, 2, 3, 7 and whole; the
+    # prime powers below have multiples on both sides of many band edges
+    import shearcount.stats as stats
+
+    M = 300
+    ref = np.array([[math.gcd(m, n) for n in range(1, M + 1)] for m in range(1, M + 1)], dtype=float)
+    prime_of = dict(zip(*(a.tolist() for a in stats._prime_powers())))
+    assert {q: prime_of[q] for q in (4, 8, 9, 16, 25, 27, 32, 49)} == {
+        4: 2, 8: 2, 9: 3, 16: 2, 25: 5, 27: 3, 32: 2, 49: 7
+    }
+    for height in (1, 2, 3, 7, M):
+        for i0 in range(0, M, height):
+            i1 = min(M, i0 + height)
+            np.testing.assert_array_equal(stats._band_gcd(i0, i1, M), ref[i0:i1, i0:])
+
+
+def test_pairwise_temporaries_stay_within_a_quarter_of_the_cap():
+    # bands hold (TEMP_ENTRIES // 4) // M rows; the kernel keeps four band
+    # arrays live, so a single band array of the full cap would show in the peak
+    import tracemalloc
+
+    import shearcount.stats as stats
+
+    quarter = TEMP_ENTRIES // 4
+    for M in (1, 255, 256, 257, 2000, 20000):
+        height = max(1, quarter // M)
+        for i0 in {i0 for i0 in (0, height, (M - 1) // height * height) if i0 < M}:  # first, second, last
+            assert stats._band_gcd(i0, min(M, i0 + height), M).size <= quarter
+    for T in (200.5, 2000.5):
+        mean_square_pairwise(1.0, T)  # first use builds the prime powers
+        tracemalloc.start()
+        try:
+            mean_square_pairwise(1.0, T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * quarter
+
+
+def _longdouble_oscillatory_square(y, T):
+    """Franel's sum on the same snapped half-widths, row by row in
+    np.longdouble with exact gcds."""
+    M = row_limit(scaled_radius(y, T))
+    ms = np.arange(1, M + 1)
+    g = np.array([snap_integer(float(h), 1e-12)[0] for h in halfwidths(y, T, ms.astype(float))], dtype=np.longdouble)
+    n = ms.astype(np.longdouble)
+    total = np.longdouble(0)
+    for m in range(1, M + 1):
+        d = np.gcd(m, ms).astype(np.longdouble)
+        lo = (n * g[m - 1] - m * g) / d
+        hi = (n * g[m - 1] + m * g) / d
+        lo -= np.floor(lo)
+        hi -= np.floor(hi)
+        total += np.sum(4 * d * d / (m * n) * (lo * lo - lo - hi * hi + hi))
+    return total
+
+
+@pytest.mark.parametrize("y, T", [(1.0, 300.0), (2.0, 800.0), (0.7, 500.3)])
+def test_pairwise_stays_within_its_bound_of_a_long_double_sum(y, T):
+    # worst |error| / error_bound over these rows: 1.5e-5, at (0.7, 500.3)
+    # (x86-64, 80-bit long double); the error is the float64 arguments' rounding
+    rep = mean_square_pairwise(y, T)
+    mu = np.longdouble(rep.mean_remainder)
+    exact = _longdouble_oscillatory_square(y, T) + mu * mu
+    assert abs(float(np.longdouble(rep.mean_square) - exact)) <= rep.error_bound
 
 
 # ---- parseval-assembled integrator ----
