@@ -13,9 +13,9 @@ import math
 import sys
 
 from .errors import InvalidParameter, RangeExceeded
-from .formula import count_formula
+from .formula import COUNTERS
 from .fourier import cosine_spectrum, write_spectrum_csv
-from .lattice import ShearPoint, count_enumerate, count_rowslice
+from .lattice import ShearPoint
 from .stats import INTEGRATORS, SweepConfig, sweep, write_sweep_csv
 from .verify import format_table, run_verification
 
@@ -44,8 +44,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--x", type=float, default=0.0, help="shear coordinate (mod 1)")
     c.add_argument("--y", type=float, required=True, help="shear height, > 0")
     c.add_argument("--radius", type=float, required=True, help="disk radius, > 0")
-    c.add_argument("--method", choices=("enumerate", "rowslice", "formula"), default="rowslice")
-    c.add_argument("--eps", type=float, default=1e-12, help="relative boundary-tie tolerance")
+    c.add_argument("--method", choices=tuple(COUNTERS), default="rowslice")
     c.add_argument("--json", action="store_true", help="emit a JSON object instead of the bare count")
 
     m = sub.add_parser("meansquare", help="period mean square of the remainder at one (y, radius)")
@@ -90,11 +89,7 @@ def _positive(value: float, flag: str) -> float:
 def _cmd_count(args) -> int:
     _positive(args.y, "--y")
     _positive(args.radius, "--radius")
-    if args.eps < 0:
-        raise _UsageError(f"--eps must be >= 0, got {args.eps}")
-    z = ShearPoint(args.x, args.y)
-    fn = {"enumerate": count_enumerate, "rowslice": count_rowslice, "formula": count_formula}[args.method]
-    result = fn(z, args.radius, args.eps)
+    result = COUNTERS[args.method](ShearPoint(args.x, args.y), args.radius)
     if args.json:
         payload = {
             "count": result.count,

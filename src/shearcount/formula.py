@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import InvalidParameter, RangeExceeded
 from .lattice import (
-    DEFAULT_TIE_EPS,
     CountResult,
     ShearPoint,
     count_enumerate,
@@ -37,7 +36,7 @@ from .lattice import (
     rows,
     shear_mod_one,
 )
-from .numerics import compensated_sum, frac_snapped, snap_integer
+from .numerics import TIE_EPS, compensated_sum, frac_snapped, snap_integer
 
 __all__ = [
     "DecompositionResult",
@@ -110,7 +109,7 @@ def chord_sum_error_bound(T: float) -> float:
     require_positive("T", T)
     if not T >= 2:
         raise InvalidParameter(f"need T >= 2, got {T}")
-    snapped, _ = snap_integer(T, DEFAULT_TIE_EPS)
+    snapped, _ = snap_integer(T, TIE_EPS)
     M = int(math.floor(snapped)) - 1
     w = math.sqrt((T - M) * (T + M))
     return M / (2.0 * w) + 8.0 * w
@@ -141,28 +140,31 @@ def count_decomposition(z: ShearPoint, T: float) -> DecompositionResult:
     return DecompositionResult(main_term=main, oscillatory=osc, correction=corr, total=main + osc + corr)
 
 
-def count_formula(z: ShearPoint, T: float, tie_eps: float = DEFAULT_TIE_EPS) -> CountResult:
+def count_formula(z: ShearPoint, T: float) -> CountResult:
     """The decomposition rounded to an integer count, with tie diagnostics.
 
     The ties are those of the row-sliced count: a row is ambiguous when
     hw_m -+ m*x is within tolerance of an integer (the sawtooth jump
     points), or when sqrt(y)*T is for the m = 0 row.
     """
-    ties = count_rowslice(z, T, tie_eps).ties
+    ties = count_rowslice(z, T).ties
     return CountResult(count=int(round(count_decomposition(z, T).total)), ties=ties, method="formula")
+
+
+#: The counters that :func:`remainder` and the CLI select by name; each maps
+#: (z, T) to a CountResult named by its ``method``.
+COUNTERS = {
+    "enumerate": count_enumerate,
+    "rowslice": count_rowslice,
+    "formula": count_formula,
+}
 
 
 def remainder(z: ShearPoint, T: float, method: str = "rowslice") -> float:
     """count(z, T) - pi*T**2 with the count taken by the selected method."""
-    if method == "enumerate":
-        c = count_enumerate(z, T).count
-    elif method == "rowslice":
-        c = count_rowslice(z, T).count
-    elif method == "formula":
-        c = count_formula(z, T).count
-    else:
+    if method not in COUNTERS:
         raise InvalidParameter(f"unknown counting method {method!r}")
-    return c - math.pi * T * T
+    return COUNTERS[method](z, T).count - math.pi * T * T
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -233,7 +235,7 @@ def chord_identity_residual(T: float) -> tuple[float, float, float]:
     require_positive("T", T)
     if not T >= 2:
         raise InvalidParameter(f"need T >= 2, got {T}")
-    snapped, _ = snap_integer(T, DEFAULT_TIE_EPS)
+    snapped, _ = snap_integer(T, TIE_EPS)
     M = int(math.floor(snapped)) - 1
     ms = np.arange(1, M + 1, dtype=float)
     half_sum = 0.5 * (T + 2.0 * compensated_sum(np.sqrt(T - ms) * np.sqrt(T + ms)))

@@ -63,6 +63,10 @@ _FOUR_OVER_PI = 4.0 / math.pi
 #: Hard ceiling on k_max (cosine_spectrum's array is then 256 MiB of float64).
 MAX_COEFFICIENTS = 1 << 25
 
+#: auto_truncation refines until the Parseval error bound is under this share
+#: of the value: criterion 7's 1% rule.
+_REL_TARGET = 0.01
+
 #: Coefficients per block in parseval_mean_square; a multiple of the chunk
 #: whose partial sums compensated_sum adds, so blocks sum alike.
 _BLOCK = TEMP_ENTRIES
@@ -335,12 +339,12 @@ def mean_square_certificate(y: float, T: float, cutoff: int) -> float:
     return 2.0 * _FOUR_OVER_PI**2 * (harmonic * head + scaled * tail)
 
 
-def auto_truncation(y: float, T: float, rel_target: float = 0.01) -> tuple[int, int]:
+def auto_truncation(y: float, T: float) -> tuple[int, int]:
     """Pick (k_max, n_max) for :func:`parseval_mean_square`.
 
     Ensures the truncation is at most 0.1% of the certificate bound, then
-    refines once so the reported error bound undercuts ``rel_target`` of the
-    measured value whenever the value exceeds 0.1.  k_max is always
+    refines once so the reported error bound undercuts _REL_TARGET (1%) of
+    the measured value whenever the value exceeds 0.1.  k_max is always
     n_max * (number of rows), so no retained pair is dropped.
     """
     scaled, _, hw = rows(y, T)
@@ -355,7 +359,7 @@ def auto_truncation(y: float, T: float, rel_target: float = 0.01) -> tuple[int, 
     if value <= 0.1:
         return n1 * M, n1
     # 0.9 safety margin keeps the refined bound clear of the target
-    eps_target = 0.9 * (math.sqrt(value * (1.0 + rel_target)) - math.sqrt(value))
+    eps_target = 0.9 * (math.sqrt(value * (1.0 + _REL_TARGET)) - math.sqrt(value))
     n2 = 2 + int((8.0 / math.pi**2) * scaled / (eps_target * eps_target))
     n2 = min(max(n1, n2), MAX_COEFFICIENTS // M)
     return n2 * M, n2

@@ -31,14 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, RangeExceeded
-from .numerics import snap_integer, snap_integers
+from .numerics import TIE_EPS, snap_integer, snap_integers
 
 #: Largest scaled radius T/sqrt(y) accepted.  Beyond this, fractional parts of
 #: quantities of magnitude ~sqrt(y)*T lose too many significant digits in
 #: double precision for strict boundary tests to be trustworthy.
 MAX_SCALED_RADIUS = 1e6
-
-DEFAULT_TIE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,17 +100,15 @@ def require_positive(name: str, value: float) -> None:
         raise InvalidParameter(f"{name} must be positive and finite, got {name}={value}")
 
 
-def scaled_radius(y: float, T: float, tie_eps: float = DEFAULT_TIE_EPS) -> float:
+def scaled_radius(y: float, T: float) -> float:
     """T/sqrt(y), the number of occupied rows per sign.
 
     This is the parameter check of every public (y, T) entry point: y and T
-    must be positive and finite and tie_eps >= 0 (InvalidParameter), and
-    T/sqrt(y) must not exceed MAX_SCALED_RADIUS (RangeExceeded).
+    must be positive and finite (InvalidParameter), and T/sqrt(y) must not
+    exceed MAX_SCALED_RADIUS (RangeExceeded).
     """
     require_positive("y", y)
     require_positive("T", T)
-    if not tie_eps >= 0:
-        raise InvalidParameter(f"tie tolerance must be >= 0, got tie_eps={tie_eps}")
     s = T / math.sqrt(y)
     if s > MAX_SCALED_RADIUS:
         raise RangeExceeded(
@@ -121,13 +117,13 @@ def scaled_radius(y: float, T: float, tie_eps: float = DEFAULT_TIE_EPS) -> float
     return s
 
 
-def row_limit(scaled: float, rel_eps: float = DEFAULT_TIE_EPS) -> int:
+def row_limit(scaled: float) -> int:
     """Largest row index m >= 1 with m strictly below the scaled radius.
 
     Near-integer radii are treated as exact, so the boundary row (which holds
     no interior points under strict counting) is excluded deterministically.
     """
-    snapped, tie = snap_integer(scaled, rel_eps)
+    snapped, tie = snap_integer(scaled, TIE_EPS)
     if tie:
         return max(0, int(snapped) - 1)
     return max(0, int(math.floor(scaled)))
@@ -140,19 +136,19 @@ def halfwidths(y: float, T: float, ms: np.ndarray) -> np.ndarray:
     return sy * np.sqrt(T - ms * sy) * np.sqrt(T + ms * sy)
 
 
-def rows(y: float, T: float, tie_eps: float = DEFAULT_TIE_EPS) -> tuple[float, np.ndarray, np.ndarray]:
+def rows(y: float, T: float) -> tuple[float, np.ndarray, np.ndarray]:
     """The row model shared by every counter, integrator and spectrum.
 
-    Checks (y, T, tie_eps) with :func:`scaled_radius` and returns
+    Checks (y, T) with :func:`scaled_radius` and returns
     (scaled radius, rows ms = 1..M as floats, half-widths hw_m), where M is
     :func:`row_limit` of the scaled radius; the rows -m mirror them.
     """
-    scaled = scaled_radius(y, T, tie_eps)
-    ms = np.arange(1, row_limit(scaled, tie_eps) + 1, dtype=float)
+    scaled = scaled_radius(y, T)
+    ms = np.arange(1, row_limit(scaled) + 1, dtype=float)
     return scaled, ms, halfwidths(y, T, ms)
 
 
-def count_enumerate(z: ShearPoint, T: float, tie_eps: float = DEFAULT_TIE_EPS) -> CountResult:
+def count_enumerate(z: ShearPoint, T: float) -> CountResult:
     """Count lattice vectors of norm < T by brute-force enumeration.
 
     For each row m a padded closed interval of candidate n is generated and
@@ -160,10 +156,10 @@ def count_enumerate(z: ShearPoint, T: float, tie_eps: float = DEFAULT_TIE_EPS) -
     Cost is proportional to the number of candidates, about 2*T**2 in total;
     this routine deliberately shares no logic with :func:`count_rowslice`.
     """
-    scaled = scaled_radius(z.y, T, tie_eps)
+    scaled = scaled_radius(z.y, T)
     y, x = z.y, shear_mod_one(z.x)
     yT2 = y * T * T
-    tol = tie_eps * yT2
+    tol = TIE_EPS * yT2
 
     count = 0
     ties = 0
@@ -181,7 +177,7 @@ def count_enumerate(z: ShearPoint, T: float, tie_eps: float = DEFAULT_TIE_EPS) -
     return CountResult(count=count, ties=ties, method="enumerate")
 
 
-def count_rowslice(z: ShearPoint, T: float, tie_eps: float = DEFAULT_TIE_EPS) -> CountResult:
+def count_rowslice(z: ShearPoint, T: float) -> CountResult:
     """Count lattice vectors of norm < T row by row in O(T/sqrt(y)).
 
     Each row contributes the number of integers in the open interval
@@ -193,21 +189,21 @@ def count_rowslice(z: ShearPoint, T: float, tie_eps: float = DEFAULT_TIE_EPS) ->
     tolerance of an integer, including the boundary rows +-R of an integer
     scaled radius R, which touch the circle where R*x is an integer.
     """
-    scaled, ms, hw = rows(z.y, T, tie_eps)
+    scaled, ms, hw = rows(z.y, T)
     x = shear_mod_one(z.x)
 
     # m = 0 row: |n| < sqrt(y)*T, independent of x.
-    g0, tie0 = snap_integer(math.sqrt(z.y) * T, tie_eps)
+    g0, tie0 = snap_integer(math.sqrt(z.y) * T, TIE_EPS)
     count = max(2 * int(math.ceil(g0)) - 1, 1)
     ties = 1 if tie0 else 0
 
-    lo, tie_lo = snap_integers(hw - ms * x, tie_eps)
-    hi, tie_hi = snap_integers(hw + ms * x, tie_eps)
+    lo, tie_lo = snap_integers(hw - ms * x, TIE_EPS)
+    hi, tie_hi = snap_integers(hw + ms * x, TIE_EPS)
     # Rows m and -m hold the same number of points at every x.
     per_row = np.ceil(lo) + np.ceil(hi) - 1.0
     count += 2 * int(np.sum(np.maximum(per_row, 0.0)))
     ties += 2 * int(np.count_nonzero(tie_lo | tie_hi))
-    R, edge = snap_integer(scaled, tie_eps)
-    if edge and snap_integer(R * x, tie_eps)[1]:
+    R, edge = snap_integer(scaled, TIE_EPS)
+    if edge and snap_integer(R * x, TIE_EPS)[1]:
         ties += 2
     return CountResult(count=count, ties=ties, method="rowslice")

@@ -3,7 +3,7 @@
 Boundary tests of the form "is this real an integer" are everywhere in the
 counting code (floor arguments, fractional parts, row limits).  They are all
 funnelled through the snap helpers below so every module applies the same
-relative tolerance.
+relative tolerance, TIE_EPS.
 """
 from __future__ import annotations
 
@@ -12,6 +12,10 @@ import math
 import numpy as np
 
 _CHUNK = 1 << 15
+
+#: Relative tolerance within which a boundary quantity counts as an integer:
+#: the one tie tolerance of every counter, integrator and spectrum.
+TIE_EPS = 1e-12
 
 #: Entries of the largest float64 temporary that a Parseval block or a
 #: certificate chunk allocates (2 MiB); pairwise bands and sine tables take
@@ -63,9 +67,8 @@ def snap_integers(u: np.ndarray, rel_eps: float) -> tuple[np.ndarray, np.ndarray
     return np.where(tie, r, u), tie
 
 
-def frac_snapped(u: float, rel_eps: float = 1e-12) -> float:
-    """Fractional part of u, with near-integers treated as exact integers."""
-    snapped, tie = snap_integer(u, rel_eps)
-    if tie:
+def frac_snapped(u: float) -> float:
+    """Fractional part of u, with integers to within TIE_EPS treated as exact."""
+    if snap_integer(u, TIE_EPS)[1]:
         return 0.0
     return u - math.floor(u)

@@ -22,7 +22,10 @@ period mean and mean square up to floating accumulation
 one vectorised pass and merged by one in-place sort of int64 keys:
 crossings closer than 1e-13 share a key, so coincident jumps are summed
 exactly in integers, independent of their order; the events grow like
-2*T**2/y, which caps the sweep.  :func:`mean_square_parseval` assembles the
+2*T**2/y, which caps the sweep.  The count on the first segment is read
+off the same snapped rows in closed form (2*g_m, or 2*floor(g_m) + 1, per
+row and mirror), so no count is probed and tied rows still answer.
+:func:`mean_square_parseval` assembles the
 mean square from the truncated cosine spectrum instead.  ``INTEGRATORS``
 maps the names that :func:`sweep` and the CLI accept to these three.
 
@@ -50,9 +53,6 @@ from .errors import InvalidParameter, RangeExceeded, ShearCountError
 from .formula import chord_length_sum
 from .fourier import auto_truncation, parseval_mean_square
 from .lattice import (
-    DEFAULT_TIE_EPS,
-    ShearPoint,
-    count_rowslice,
     halfwidths,
     require_positive,
     row_limit,
@@ -60,7 +60,7 @@ from .lattice import (
     scaled_radius,
     shear_mod_one,
 )
-from .numerics import TEMP_ENTRIES, compensated_sum, frac_snapped, snap_integer, snap_integers
+from .numerics import TEMP_ENTRIES, TIE_EPS, compensated_sum, frac_snapped, snap_integer, snap_integers
 
 __all__ = [
     "BreakpointSweep",
@@ -89,7 +89,6 @@ _MAX_SWEEP_EVENTS = 10**8
 _MAX_PAIRWISE_ROWS = 20_000
 
 _MERGE_SCALE = 10**13  # jump locations are merged on the grid of 1e-13
-_ANCHOR_PROBES = 64
 
 
 @dataclass(frozen=True)
@@ -173,7 +172,7 @@ def mean_square_upper_bound(y: float, T: float) -> float:
     return scaled * log_term * log_term + y**1.5 * T
 
 
-def breakpoints(y: float, T: float, tie_eps: float = DEFAULT_TIE_EPS) -> BreakpointSweep:
+def breakpoints(y: float, T: float) -> BreakpointSweep:
     """Enumerate the jump set of x -> count over one shear period.
 
     Row m > 0 (always together with its mirror -m) loses a point when
@@ -191,18 +190,24 @@ def breakpoints(y: float, T: float, tie_eps: float = DEFAULT_TIE_EPS) -> Breakpo
     per raw event: the 8-byte key and a byte of group mask per event, plus
     24 bytes per group of coincident crossings.
 
+    The count on the first segment is read off the same snapped rows.  Just
+    above x = 0 the m = 0 column holds 2*ceil(g_0) - 1 points, g_0 the
+    snapped sqrt(y)*T, and rows m and -m hold 2*g_m points each when g_m
+    snapped to an integer, else 2*floor(g_m) + 1.  The crossings that round
+    onto k = 0, the sorted keys below 2, are added to that count, since the
+    merged jumps start at k = 1.  No count is probed, so rows whose
+    crossings crowd x = 0 within the tie tolerance still answer.
+
     Projected event counts beyond 1e8 raise RangeExceeded (the pairwise
-    integrator needs no event array).  So does an anchor search that finds no
-    tie-free point in the first segment, instead of anchoring on a tied
-    count.
+    integrator needs no event array).
     """
-    _, ms, hw = rows(y, T, tie_eps)
+    _, ms, hw = rows(y, T)
     if 2.0 * T * T / y > _MAX_SWEEP_EVENTS:
         raise RangeExceeded(
             f"projected event count 2*T^2/y = {2 * T * T / y:.3g} exceeds {_MAX_SWEEP_EVENTS:.0e}"
         )
     M = ms.size
-    g, _ = snap_integers(hw, tie_eps)
+    g, snapped = snap_integers(hw, TIE_EPS)
 
     # Half-rows 0..M-1 hold the exits x = (g - n)/m, half-rows M..2M-1 the
     # entries x = (-g - n)/m; n runs over the integers strictly inside
@@ -225,7 +230,9 @@ def breakpoints(y: float, T: float, tie_eps: float = DEFAULT_TIE_EPS) -> Breakpo
     keys <<= 1
     keys[int(np.sum(counts[:M])):] += 1  # the entries follow every exit
     keys.sort()
-    keys = keys[np.searchsorted(keys, 2) : np.searchsorted(keys, 2 * _MERGE_SCALE)]  # 0 < k < 1e13
+    head = int(np.searchsorted(keys, 2))  # keys of k = 0: jumps at x = 0 on the merge grid
+    base_jump = int(np.sum((keys[:head] & 1) * 4 - 2))
+    keys = keys[head : np.searchsorted(keys, 2 * _MERGE_SCALE)]  # 0 < k < 1e13
     opens = np.ones(keys.size, dtype=bool)  # keys[i] starts a new k
     np.greater(keys[1:], keys[:-1] | 1, out=opens[1:])
     starts = np.flatnonzero(opens)
@@ -240,24 +247,13 @@ def breakpoints(y: float, T: float, tie_eps: float = DEFAULT_TIE_EPS) -> Breakpo
     del sums
     xs = k[keep] / _MERGE_SCALE
 
-    # Anchor the running count at a tie-free point of the first segment;
-    # cancelled event pairs can leave tie locations that no longer appear in
-    # xs, so shrink deterministically until the row counter is unambiguous.
-    # An axis tie (integer sqrt(y)*T) flags one tie at every x; only the
-    # x-dependent ties must be avoided.
-    _, axis_tie = snap_integer(math.sqrt(y) * T, tie_eps)
-    baseline_ties = 1 if axis_tie else 0
-    x_base = float(xs[0]) / 2.0 if xs.size else 0.5
-    for _ in range(_ANCHOR_PROBES):
-        anchor = count_rowslice(ShearPoint(x_base, y), T, tie_eps)
-        if anchor.ties <= baseline_ties:
-            break
-        x_base *= 0.6180339887498949
-    else:
-        raise RangeExceeded(
-            f"no tie-free anchor in the first segment after {_ANCHOR_PROBES} probes at y={y}, T={T}"
-        )
-    return BreakpointSweep(y=y, T=T, xs=xs, deltas=deltas, base_count=anchor.count, axis_tie=axis_tie)
+    # The strict count just above x = 0, then the jumps merged onto k = 0.
+    # An axis tie (integer sqrt(y)*T) puts (0, +-T) on the circle at every
+    # x; the column counts them out, as count_rowslice does.
+    g0, axis_tie = snap_integer(math.sqrt(y) * T, TIE_EPS)
+    per_row = np.where(snapped, 2.0 * g, 2.0 * np.floor(g) + 1.0)
+    base = max(2 * int(math.ceil(g0)) - 1, 1) + 2 * int(np.sum(per_row)) + base_jump
+    return BreakpointSweep(y=y, T=T, xs=xs, deltas=deltas, base_count=base, axis_tie=axis_tie)
 
 
 def _report_from_integral(
@@ -365,7 +361,7 @@ def mean_square_pairwise(y: float, T: float) -> MeanSquareReport:
     if M > _MAX_PAIRWISE_ROWS:
         raise RangeExceeded(f"row count M = {M} exceeds the pairwise ceiling {_MAX_PAIRWISE_ROWS}")
     ms = np.arange(1, M + 1, dtype=float)  # the rows of lattice.rows, checked once
-    g, _ = snap_integers(halfwidths(y, T, ms), DEFAULT_TIE_EPS)
+    g, _ = snap_integers(halfwidths(y, T, ms), TIE_EPS)
     mu = mean_remainder_closed(y, T)
     mean_sq = _franel_sum(ms, g) + mu * mu
     log_term = 1.0 + math.log(max(M, 1))

@@ -130,9 +130,9 @@ def run_verification(
 
     # Parseval, certificate: fresh small-radius cases so spectra stay cheap
     small = [(float(rng.uniform(0.5, 4.0)), float(rng.uniform(1.2, 30.0))) for _ in range(6)]
+    spectral = [(y, T, *parseval_mean_square(y, T, 4096 * 32, 4096)) for y, T in small]
     worst, bad, ok = 0.0, "", True
-    for y, T in small:
-        value, err = parseval_mean_square(y, T, 4096 * 32, 4096)
+    for y, T, value, err in spectral:
         rep = mean_square_breakpoints(y, T)
         exact = rep.mean_square - rep.mean_remainder**2
         d = abs(value - exact)
@@ -143,8 +143,7 @@ def run_verification(
     checks.append(VerifyCheck("parseval-vs-breakpoints", len(small), max(worst, 0.0), 0.0, ok, bad))
 
     ok, bad = True, ""
-    for y, T in small:
-        value, _ = parseval_mean_square(y, T, 4096 * 32, 4096)
+    for y, T, value, _ in spectral:
         for cutoff in (2, 16, 128, 1024):
             cert = mean_square_certificate(y, T, cutoff)
             if value > cert:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from shearcount import CountResult, InvalidParameter, read_spectrum_csv, read_sweep_csv, run_verification
+from shearcount import InvalidParameter, read_spectrum_csv, read_sweep_csv, run_verification
 from shearcount.cli import main
 from shearcount.stats import INTEGRATORS
 
@@ -195,12 +195,10 @@ def test_sweep_rejects_bad_height(y, tmp_path, capsys):
     assert "--y" in err
 
 
-def test_sweep_refused_by_the_anchor_search_exits_3(tmp_path, capsys, monkeypatch):
-    import shearcount.stats as stats
-
-    monkeypatch.setattr(stats, "count_rowslice", lambda z, T, eps: CountResult(count=0, ties=3, method="rowslice"))
+def test_sweep_with_every_row_refused_exits_3(tmp_path, capsys):
+    # 2*T^2/y projects 5e9 and 7.2e9 events, beyond the breakpoint ceiling
     code, _, err = run(
-        ["sweep", "--y", "1", "--radius-min", "5", "--radius-max", "6", "--samples", "2",
+        ["sweep", "--y", "0.0001", "--radius-min", "500", "--radius-max", "600", "--samples", "2",
          "--integrator", "breakpoints", "--out", str(tmp_path / "f.csv")],
         capsys,
     )

@@ -77,11 +77,6 @@ def test_invalid_radius(T):
         count_rowslice(ShearPoint(0.0, 1.0), T)
 
 
-def test_negative_tie_eps_rejected():
-    with pytest.raises(InvalidParameter):
-        count_rowslice(ShearPoint(0.0, 1.0), 2.0, tie_eps=-1e-9)
-
-
 def test_scaled_radius_limit():
     with pytest.raises(RangeExceeded):
         count_rowslice(ShearPoint(0.0, 1.0), 2e6)

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shearcount import (
-    CountResult,
     InvalidParameter,
     RangeExceeded,
     ShearPoint,
@@ -28,23 +27,23 @@ from shearcount import (
     write_sweep_csv,
 )
 from shearcount.lattice import halfwidths, row_limit, scaled_radius
-from shearcount.numerics import TEMP_ENTRIES, snap_integer
+from shearcount.numerics import TEMP_ENTRIES, TIE_EPS, snap_integer
 from shearcount.stats import SWEEP_HEADER, default_threads
 
 MEAN_GRID = [(y, T) for T in (1.5, 7.3, 20.0, 50.0) for y in (0.7, 1.0, 2.5)]
 INTEGER_GRID = [(y, float(T)) for y in (1.0, 2.0, 4.0) for T in range(1, 41)]
 
 
-def _reference_breakpoints(y, T, tie_eps=1e-12):
+def _reference_breakpoints(y, T):
     """Per-row event loop with a stable float argsort: the reference that
     ``breakpoints`` must reproduce byte for byte.  Returns
     (xs, deltas, base_count, axis_tie)."""
-    M = row_limit(scaled_radius(y, T), tie_eps)
+    M = row_limit(scaled_radius(y, T))
     xs_parts, delta_parts = [], []
     if M > 0:
         hw = halfwidths(y, T, np.arange(1, M + 1, dtype=float))
         for m in range(1, M + 1):
-            g, _ = snap_integer(float(hw[m - 1]), tie_eps)
+            g, _ = snap_integer(float(hw[m - 1]), TIE_EPS)
             n = np.arange(math.floor(g - m) + 1, math.ceil(g))
             xs_parts.append((g - n) / m)
             delta_parts.append(np.full(n.size, -2, dtype=np.int64))
@@ -65,10 +64,12 @@ def _reference_breakpoints(y, T, tie_eps=1e-12):
         sums = np.add.reduceat(deltas, starts)
         keep = sums != 0
         xs, deltas = xs[starts][keep], sums[keep]
-    _, axis_tie = snap_integer(math.sqrt(y) * T, tie_eps)
+    # the count comes from count_rowslice at a tie-free point of the first
+    # segment, independently of the row formula that breakpoints uses
+    _, axis_tie = snap_integer(math.sqrt(y) * T, TIE_EPS)
     x_base = float(xs[0]) / 2.0 if xs.size else 0.5
     for _ in range(64):
-        anchor = count_rowslice(ShearPoint(x_base, y), T, tie_eps)
+        anchor = count_rowslice(ShearPoint(x_base, y), T)
         if anchor.ties <= (1 if axis_tie else 0):
             break
         x_base *= 0.6180339887498949
@@ -142,18 +143,30 @@ def test_integer_halfwidths_give_empty_jump_set(y, T, count):
     assert rep.breakpoint_count == 0
 
 
-def test_breakpoints_refuse_a_tied_anchor(monkeypatch):
-    import shearcount.stats as stats
-
-    monkeypatch.setattr(stats, "count_rowslice", lambda z, T, eps: CountResult(count=0, ties=3, method="rowslice"))
-    with pytest.raises(RangeExceeded, match=r"y=1\.0, T=7\.7"):
-        breakpoints(1.0, 7.7)
+# Near-Pythagorean radii T ~ sqrt(m**2 + t**2): row t has a half-width within
+# the tie tolerance of m, and the first jump sits at x = 1.5e-12 (m = 50) or
+# 5.9e-11 (m = 300), so every point before it is tied.  The first-segment
+# count comes from the snapped rows, not from a probe.
+@pytest.mark.parametrize("T", [50.00999900018495, 300.0066665927124])
+def test_breakpoints_answer_when_the_first_segment_is_tied(T):
+    sw = breakpoints(1.0, T)
+    rng = np.random.default_rng(11)
+    checked = 0
+    for x in np.concatenate([rng.uniform(0.0, 1.0, 40), sw.xs[:20] + 1e-7]):
+        ref = count_rowslice(ShearPoint(float(x), 1.0), T)
+        if ref.ties == 0:
+            assert sw.count_at(float(x)) == ref.count
+            checked += 1
+    assert checked >= 30
+    bp, pw = mean_square_breakpoints(1.0, T), mean_square_pairwise(1.0, T)
+    assert abs(bp.mean_square - pw.mean_square) <= bp.error_bound + pw.error_bound
 
 
 # ---- byte identity with the per-row reference ----
 
 def test_breakpoints_match_reference_on_integer_grid_and_merge_heavy_row():
-    for y, T in INTEGER_GRID + [(1.0, 500.0)]:
+    # (1, 100.0449898795538) has crossings that round onto x = 0 (k = 0)
+    for y, T in INTEGER_GRID + [(1.0, 500.0), (1.0, 100.0449898795538)]:
         _assert_same_as_reference(y, T)
 
 
