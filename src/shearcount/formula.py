@@ -32,6 +32,7 @@ from .lattice import (
     ShearPoint,
     count_enumerate,
     count_rowslice,
+    require_integer,
     require_positive,
     rows,
     shear_mod_one,
@@ -181,9 +182,9 @@ def sawtooth_integral(T: float, M: int, tol: float = 1e-10) -> float:
     """
     if not (math.isfinite(T) and T >= 1):
         raise InvalidParameter(f"need T >= 1, got {T}")
-    if M != int(M) or M < 0 or M > T - 1:
-        raise InvalidParameter(f"need an integer 0 <= M <= T - 1, got M={M} for T={T}")
-    M = int(M)
+    M = require_integer("M", M, 0)
+    if M > T - 1:
+        raise InvalidParameter(f"need M <= T - 1, got M={M} for T={T}")
     if M == 0:
         return 0.0
 
@@ -249,10 +250,7 @@ def chord_identity_residual(T: float) -> tuple[float, float, float]:
 def inscribed_polygon_area(radius: int) -> float:
     """Shoelace area of the polygon with vertices (m, +-sqrt(R**2 - m**2))
     over integer |m| <= R; equals chord_length_sum(R) for integer R."""
-    require_positive("radius", radius)
-    if radius != int(radius) or radius < 1:
-        raise InvalidParameter(f"need an integer radius >= 1, got {radius}")
-    R = int(radius)
+    R = require_integer("radius", radius, 1)
     ms = np.arange(-R, R + 1, dtype=float)
     f = np.sqrt(R - ms) * np.sqrt(R + ms)
     # counterclockwise: upper arc right to left, lower arc left to right

@@ -16,25 +16,24 @@ controlled in L2 and reported as an explicit bound.
 :func:`mean_square_certificate` is the fully explicit counterpart of the
 same mean square: it splits the series at a cutoff, applies Cauchy-Schwarz
 to each half with exact harmonic-number constants, and evaluates the
-orthogonality sums directly, yielding a rigorous upper bound for the true
-integral of osc**2 at every cutoff.
+orthogonality sums directly, the tail in closed form, yielding a rigorous
+upper bound for the true integral of osc**2 at every cutoff.
 
-Both take their sines sin(n*theta_m), theta_m = 2*pi*hw_m, from an
-angle-addition kernel (:class:`_SineTable`).  For a range of N harmonics,
-B = isqrt(N) and n = q*B + j,
+The spectrum and Parseval take their sines sin(n*theta_m), theta_m =
+2*pi*hw_m, from an angle-addition kernel (:class:`_SineTable`).  For n_max
+harmonics, B = isqrt(n_max) and n = q*B + j,
 
     sin(n*theta) = sin(q*B*theta)*cos(j*theta) + cos(q*B*theta)*sin(j*theta),
 
-so a row takes np.sin and np.cos of about 4*sqrt(N) arguments for its
-tables, then two multiplies and an add per entry, instead of N calls to
-the scalar libm sine.  Each entry is within 4*eps*(1 + n*theta) of
-np.sin(2*pi*n*hw_m) (tested up to n = 2**18, hw = 150).  Either way the
-rounded argument dominates: at n*theta near 1e8 both are about 1e-8 from
-the exact sine, and the kernel moves Parseval values and certificates by
-under 1e-13 relative.  A Parseval call builds its tables once; every
-block, the whole spectrum and the dropped pairs see the same bits for a
-pair (m, n) at a given n_max.  Ranges shorter than _TABLE_MIN, and rows
-past the tables' budget of _PIECE entries, call np.sin directly.
+so a row takes np.sin and np.cos of about 4*sqrt(n_max) arguments for its
+tables, then two multiplies and an add per entry, instead of n_max calls
+to the scalar libm sine.  Each entry is within 4*eps*(1 + n*theta) of
+np.sin(2*pi*n*hw_m) (tested up to n = 2**18, hw = 150); either way the
+rounded argument dominates, about 1e-8 from the exact sine at n*theta near
+1e8.  A Parseval call builds its tables once; every block, the whole
+spectrum and the dropped pairs see the same bits for a pair (m, n) at a
+given n_max.  n_max below _TABLE_MIN, and rows past the tables' budget of
+_PIECE entries, call np.sin directly, as the certificate always does.
 """
 from __future__ import annotations
 
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, RangeExceeded
-from .lattice import ShearPoint, rows, shear_mod_one
+from .lattice import ShearPoint, require_integer, rows, shear_mod_one
 from .numerics import TEMP_ENTRIES, chunk_sums, compensated_sum
 
 __all__ = [
@@ -104,22 +103,21 @@ _PIECE = TEMP_ENTRIES // 4
 
 
 class _SineTable:
-    """sin(n*theta) for rows of angles theta and n_lo <= n <= n_hi, by angle
-    addition.  With B = isqrt(n_hi - n_lo + 1) and n = q*B + j, 0 <= j < B,
+    """sin(n*theta) for rows of angles theta and 1 <= n <= n_max, by angle
+    addition.  With B = isqrt(n_max) and n = q*B + j, 0 <= j < B,
 
         sin(n*theta) = sin(q*B*theta)*cos(j*theta) + cos(q*B*theta)*sin(j*theta),
 
-    so a row takes np.sin and np.cos of about 2*sqrt(range) arguments and
+    so a row takes np.sin and np.cos of about 2*sqrt(n_max) arguments and
     then two multiplies and an add per entry.  An entry depends on its
-    theta, n and B alone, not on the range it is requested in.  Callers keep
-    rows*max(B, range/B + 1) within _PIECE.
+    theta, n and B alone, not on the sub-range it is requested in.  Callers
+    keep rows*max(B, n_max/B + 1) within _PIECE.
     """
 
-    def __init__(self, theta: np.ndarray, n_lo: int, n_hi: int) -> None:
-        B = self.B = math.isqrt(n_hi - n_lo + 1)
-        self.q_lo = n_lo // B
+    def __init__(self, theta: np.ndarray, n_max: int) -> None:
+        B = self.B = math.isqrt(n_max)
         tables = []
-        for n in (np.arange(self.q_lo, n_hi // B + 1, dtype=float) * B, np.arange(B, dtype=float)):
+        for n in (np.arange(n_max // B + 1, dtype=float) * B, np.arange(B, dtype=float)):
             arg = np.multiply.outer(theta, n)
             tables += [np.sin(arg), np.cos(arg, out=arg)]
         sin_q, cos_q, sin_j, cos_j = tables
@@ -132,13 +130,13 @@ class _SineTable:
         """Yield (a, b, sines) covering n_lo <= n <= n_hi for row r, sines
         the 1-D array for a <= n <= b.  Each piece is formed in scratch
         arrays of _PIECE entries and is valid until the next."""
-        B, q_lo = self.B, self.q_lo
+        B = self.B
         sin_q, cos_q, sin_j, cos_j = self._rows[r]
         for q in range(n_lo // B, n_hi // B + 1, self._step):
             a, b = max(n_lo, q * B), min(n_hi, (q + self._step) * B - 1)
-            i, k = q - q_lo, b // B + 1 - q_lo
-            piece = np.multiply(sin_q[i:k], cos_j, out=self._piece[: k - i])
-            np.add(piece, np.multiply(cos_q[i:k], sin_j, out=self._temp[: k - i]), out=piece)
+            k = b // B + 1
+            piece = np.multiply(sin_q[q:k], cos_j, out=self._piece[: k - q])
+            np.add(piece, np.multiply(cos_q[q:k], sin_j, out=self._temp[: k - q]), out=piece)
             yield a, b, piece.ravel()[a - q * B : b - q * B + 1]
 
 
@@ -158,7 +156,7 @@ class _RowSines:
         B = math.isqrt(n_max)
         self.tabulated = 0 if n_max < _TABLE_MIN else min(hw.size, _PIECE // max(B, n_max // B + 1))
         if self.tabulated:
-            self.table = _SineTable(2.0 * math.pi * hw[: self.tabulated], 1, n_max)
+            self.table = _SineTable(2.0 * math.pi * hw[: self.tabulated], n_max)
 
     def pieces(self, m: int, n_lo: int, n_hi: int):
         """(a, b, sines) pieces covering n_lo <= n <= n_hi for row m; the
@@ -187,11 +185,10 @@ def cosine_spectrum(y: float, T: float, k_max: int, n_max: int) -> FourierSpectr
 
 
 def _truncation(k_max: int, n_max: int) -> tuple[int, int]:
-    if k_max < 1 or n_max < 1 or k_max != int(k_max) or n_max != int(n_max):
-        raise InvalidParameter(f"k_max and n_max must be positive integers, got {k_max}, {n_max}")
+    k_max, n_max = require_integer("k_max", k_max, 1), require_integer("n_max", n_max, 1)
     if k_max > MAX_COEFFICIENTS:
         raise RangeExceeded(f"k_max={k_max} exceeds the supported {MAX_COEFFICIENTS}")
-    return int(k_max), int(n_max)
+    return k_max, n_max
 
 
 def _coefficients(sines: _RowSines, k_lo: int, k_hi: int, n_max: int) -> np.ndarray:
@@ -262,12 +259,11 @@ def oscillatory_partial_sum(z: ShearPoint, T: float, n_max: int) -> float:
     Converges pointwise to :func:`shearcount.formula.oscillatory_sum` as
     n_max grows, at every x where no sawtooth argument is an integer.
     """
-    if n_max < 1 or n_max != int(n_max):
-        raise InvalidParameter(f"n_max must be a positive integer, got {n_max}")
+    n_max = require_integer("n_max", n_max, 1)
     _, _, hw = rows(z.y, T)
     if hw.size == 0:
         return 0.0
-    n = np.arange(1, int(n_max) + 1, dtype=float)
+    n = np.arange(1, n_max + 1, dtype=float)
     x = shear_mod_one(z.x)
     total = 0.0
     for m in range(1, hw.size + 1):
@@ -276,34 +272,18 @@ def oscillatory_partial_sum(z: ShearPoint, T: float, n_max: int) -> float:
     return _FOUR_OVER_PI * total
 
 
-def _row_sums(n_lo: int, n_hi: int, theta: np.ndarray) -> np.ndarray:
-    """sum_m sin(n*theta_m)**2 for n_lo <= n <= n_hi.
-
-    A range shorter than _TABLE_MIN takes np.sin of the (n, m) outer
-    products, TEMP_ENTRIES at a time; a longer one takes its sines from a
-    _SineTable per group of rows and adds the rows one by one.  Either way
-    the result does not depend on the chunking.
-    """
-    count = max(0, n_hi - n_lo + 1)
-    out = np.zeros(count)
-    B = math.isqrt(count)
-    if count < _TABLE_MIN:
-        chunk = max(1, TEMP_ENTRIES // theta.size)
-        for start in range(n_lo, n_hi + 1, chunk):
-            stop = min(n_hi, start + chunk - 1)
-            block = np.outer(np.arange(start, stop + 1, dtype=float), theta)
-            np.sin(block, out=block)
-            np.square(block, out=block)
-            block.sum(axis=1, out=out[start - n_lo : stop - n_lo + 1])
-        return out
-    group = _PIECE // max(B, n_hi // B - n_lo // B + 1)
-    for first in range(0, theta.size, group):
-        rows_theta = theta[first : first + group]
-        table = _SineTable(rows_theta, n_lo, n_hi)
-        for r in range(rows_theta.size):
-            for a, b, sines in table.row(r, n_lo, n_hi):
-                view = out[a - n_lo : b - n_lo + 1]
-                np.add(view, np.square(sines, out=sines), out=view)
+def _row_sums(n_max: int, theta: np.ndarray) -> np.ndarray:
+    """S_n = sum_m sin(n*theta_m)**2 for 1 <= n <= n_max, from np.sin of the
+    (n, m) outer products, TEMP_ENTRIES at a time; the result does not
+    depend on the chunking."""
+    out = np.empty(n_max)
+    chunk = max(1, TEMP_ENTRIES // theta.size)
+    for start in range(1, n_max + 1, chunk):
+        stop = min(n_max, start + chunk - 1)
+        block = np.outer(np.arange(start, stop + 1, dtype=float), theta)
+        np.sin(block, out=block)
+        np.square(block, out=block)
+        block.sum(axis=1, out=out[start - 1 : stop])
     return out
 
 
@@ -313,28 +293,39 @@ def mean_square_certificate(y: float, T: float, cutoff: int) -> float:
     Splitting the sawtooth harmonics at the cutoff A and bounding the two
     halves separately (Cauchy-Schwarz over n <= A with the exact harmonic
     number, Cauchy-Schwarz over rows for n > A), then integrating with the
-    exact orthogonality sums, gives
+    exact orthogonality sums, gives, with S_n = sum_m sin^2(2 pi n hw_m),
 
-        2*(16/pi**2) * [ H_A * sum_{n<=A} (1/n) * (1/2) sum_m sin^2(2 pi n hw_m)
+        2*(16/pi**2) * [ H_A * sum_{n<=A} (1/n) * (1/2) S_n
                          + (T/sqrt(y)) * sum_m (1/2) sum_{n>A} sin^2(2 pi n hw_m) / n^2 ].
 
-    The inner n > A sums are evaluated exactly up to n = 10*A and the rest is
-    bounded by the integral remainder 1/(10*A), so the result dominates the
-    true integral for every cutoff.
+    The B2 series sum_{n>=1} sin^2(2 pi n h)/n^2 = (pi**2/2)*f*(1 - f),
+    f = {2h}, makes the n > A sums exact: (pi**2/2) * sum_m f_m*(1 - f_m)
+    minus sum_{n<=A} S_n/n**2, from the head's row sums S_1..S_A.
+
+    That tail is about 1/A of the two sums it is the difference of, so their
+    rounding errors are added back.  With k roundings within k*eps relative,
+    and the computed sines as given (their argument rounding, shared with
+    the head, is not covered): the second sum takes M per square (M terms in
+    any order), one per division by n**2 and one in math.fsum; the first 6
+    (1 - f, f*(1 - f), math.fsum, math.pi, its square and the last product;
+    np.modf is exact).  With one each for the difference and the allowance,
+    (M + 8)*eps times the two sums covers them; the tail is clamped at 0.
     """
-    if cutoff != int(cutoff) or cutoff < 2:
-        raise InvalidParameter(f"cutoff must be an integer >= 2, got {cutoff}")
-    A = int(cutoff)
+    A = require_integer("cutoff", cutoff, 2)
     scaled, _, hw = rows(y, T)
     M = hw.size
     if M == 0:
         return 0.0
 
-    two_pi_hw = 2.0 * math.pi * hw
-    harmonic = float(np.sum(1.0 / np.arange(1, A + 1)))
-    head = 0.5 * float(np.sum(_row_sums(1, A, two_pi_hw) / np.arange(1, A + 1, dtype=float)))
-    n = np.arange(A + 1, 10 * A + 1, dtype=float)
-    tail = 0.5 * (float(np.sum(_row_sums(A + 1, 10 * A, two_pi_hw) / (n * n))) + M / (10.0 * A))
+    n = np.arange(1, A + 1, dtype=float)
+    sums = _row_sums(A, 2.0 * math.pi * hw)
+    harmonic = float(np.sum(1.0 / n))
+    head = 0.5 * float(np.sum(sums / n))
+    f = np.modf(2.0 * hw)[0]
+    closed = 0.5 * math.pi**2 * math.fsum((f * (1.0 - f)).tolist())
+    inner = math.fsum((sums / (n * n)).tolist())
+    allowance = (M + 8) * np.finfo(float).eps * (closed + inner)
+    tail = 0.5 * max(closed - inner + allowance, 0.0)
 
     return 2.0 * _FOUR_OVER_PI**2 * (harmonic * head + scaled * tail)
 

@@ -100,6 +100,13 @@ def require_positive(name: str, value: float) -> None:
         raise InvalidParameter(f"{name} must be positive and finite, got {name}={value}")
 
 
+def require_integer(name: str, value: float, least: int) -> int:
+    """value as an int; InvalidParameter unless it is an integer >= least."""
+    if not (float(value).is_integer() and value >= least):
+        raise InvalidParameter(f"{name} must be an integer >= {least}, got {name}={value}")
+    return int(value)
+
+
 def scaled_radius(y: float, T: float) -> float:
     """T/sqrt(y), the number of occupied rows per sign.
 
@@ -148,6 +155,13 @@ def rows(y: float, T: float) -> tuple[float, np.ndarray, np.ndarray]:
     return scaled, ms, halfwidths(y, T, ms)
 
 
+def axis_column(y: float, T: float) -> tuple[int, bool]:
+    """(strict count, tie) of the m = 0 column |n| < g0, g0 the snapped sqrt(y)*T:
+    max(2*ceil(g0) - 1, 1) points; (0, +-T) on the circle, a tie, needs g0 >= 1."""
+    g0, tie = snap_integer(math.sqrt(y) * T, TIE_EPS)
+    return max(2 * int(math.ceil(g0)) - 1, 1), tie and g0 >= 1
+
+
 def count_enumerate(z: ShearPoint, T: float) -> CountResult:
     """Count lattice vectors of norm < T by brute-force enumeration.
 
@@ -186,16 +200,13 @@ def count_rowslice(z: ShearPoint, T: float) -> CountResult:
     difference floor(hw - m*x) - floor(-hw - m*x); at exact rational ties the
     snapped form keeps the strict-inequality semantics (boundary points are
     never counted).  ``ties`` counts rows whose interval endpoints fell within
-    tolerance of an integer, including the boundary rows +-R of an integer
-    scaled radius R, which touch the circle where R*x is an integer.
+    tolerance of an integer, plus the axis column's tie and the rows +-R of
+    an integer scaled radius R >= 1, which touch the circle at integer R*x.
     """
     scaled, ms, hw = rows(z.y, T)
     x = shear_mod_one(z.x)
 
-    # m = 0 row: |n| < sqrt(y)*T, independent of x.
-    g0, tie0 = snap_integer(math.sqrt(z.y) * T, TIE_EPS)
-    count = max(2 * int(math.ceil(g0)) - 1, 1)
-    ties = 1 if tie0 else 0
+    count, ties = axis_column(z.y, T)
 
     lo, tie_lo = snap_integers(hw - ms * x, TIE_EPS)
     hi, tie_hi = snap_integers(hw + ms * x, TIE_EPS)
@@ -204,6 +215,6 @@ def count_rowslice(z: ShearPoint, T: float) -> CountResult:
     count += 2 * int(np.sum(np.maximum(per_row, 0.0)))
     ties += 2 * int(np.count_nonzero(tie_lo | tie_hi))
     R, edge = snap_integer(scaled, TIE_EPS)
-    if edge and snap_integer(R * x, TIE_EPS)[1]:
+    if edge and R >= 1 and snap_integer(R * x, TIE_EPS)[1]:
         ties += 2
     return CountResult(count=count, ties=ties, method="rowslice")

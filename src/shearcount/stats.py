@@ -30,7 +30,7 @@ mean square from the truncated cosine spectrum instead.  ``INTEGRATORS``
 maps the names that :func:`sweep` and the CLI accept to these three.
 
 Counting convention for the integrals: point counts are strict (boundary
-vectors excluded), but when sqrt(y)*T is an integer the two vectors
+vectors excluded), but when sqrt(y)*T is a positive integer the two vectors
 (0, +-T) lie on the circle for *every* x, and the closed-form decomposition
 counts that column by its limiting value.  The integrators follow the
 decomposition (adding 2 when that axis tie occurs, flagged on the sweep as
@@ -53,14 +53,16 @@ from .errors import InvalidParameter, RangeExceeded, ShearCountError
 from .formula import chord_length_sum
 from .fourier import auto_truncation, parseval_mean_square
 from .lattice import (
+    axis_column,
     halfwidths,
+    require_integer,
     require_positive,
     row_limit,
     rows,
     scaled_radius,
     shear_mod_one,
 )
-from .numerics import TEMP_ENTRIES, TIE_EPS, compensated_sum, frac_snapped, snap_integer, snap_integers
+from .numerics import TEMP_ENTRIES, TIE_EPS, compensated_sum, frac_snapped, snap_integers
 
 __all__ = [
     "BreakpointSweep",
@@ -191,9 +193,9 @@ def breakpoints(y: float, T: float) -> BreakpointSweep:
     24 bytes per group of coincident crossings.
 
     The count on the first segment is read off the same snapped rows.  Just
-    above x = 0 the m = 0 column holds 2*ceil(g_0) - 1 points, g_0 the
-    snapped sqrt(y)*T, and rows m and -m hold 2*g_m points each when g_m
-    snapped to an integer, else 2*floor(g_m) + 1.  The crossings that round
+    above x = 0 the m = 0 column holds :func:`axis_column`'s count, and
+    rows m and -m hold 2*g_m points each when g_m snapped to an integer,
+    else 2*floor(g_m) + 1.  The crossings that round
     onto k = 0, the sorted keys below 2, are added to that count, since the
     merged jumps start at k = 1.  No count is probed, so rows whose
     crossings crowd x = 0 within the tie tolerance still answer.
@@ -248,11 +250,9 @@ def breakpoints(y: float, T: float) -> BreakpointSweep:
     xs = k[keep] / _MERGE_SCALE
 
     # The strict count just above x = 0, then the jumps merged onto k = 0.
-    # An axis tie (integer sqrt(y)*T) puts (0, +-T) on the circle at every
-    # x; the column counts them out, as count_rowslice does.
-    g0, axis_tie = snap_integer(math.sqrt(y) * T, TIE_EPS)
+    column, axis_tie = axis_column(y, T)
     per_row = np.where(snapped, 2.0 * g, 2.0 * np.floor(g) + 1.0)
-    base = max(2 * int(math.ceil(g0)) - 1, 1) + 2 * int(np.sum(per_row)) + base_jump
+    base = column + 2 * int(np.sum(per_row)) + base_jump
     return BreakpointSweep(y=y, T=T, xs=xs, deltas=deltas, base_count=base, axis_tie=axis_tie)
 
 
@@ -494,10 +494,8 @@ def lower_bound_witness(y: float, k: int) -> LowerBoundWitness:
     polygon (strictly positive), the mean is -y*deficit + (1 - 2*frac(k*y))
     and the mean square can never undercut the squared mean.
     """
-    if not (k >= 1 and float(k).is_integer()):
-        raise InvalidParameter(f"need an integer k >= 1, got {k}")
+    k = require_integer("k", k, 1)
     require_positive("y", y)
-    k = int(k)
     T = k * math.sqrt(y)
     deficit = math.pi * k * k - chord_length_sum(float(k))
     mean = -y * deficit + (1.0 - 2.0 * frac_snapped(k * y))

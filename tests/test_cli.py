@@ -32,6 +32,11 @@ def test_count_tie_case_warns_and_exits_2(capsys):
     assert "ties" in err
 
 
+def test_count_radius_that_snaps_to_zero_is_no_tie(capsys):
+    code, out, err = run(["count", "--y", "1", "--radius", "1e-13"], capsys)
+    assert (code, out.strip(), err) == (0, "1", "")
+
+
 def test_count_formula_json(capsys):
     code, out, _ = run(
         ["count", "--x", "0.5", "--y", "1", "--radius", "1.5", "--method", "formula", "--json"], capsys

@@ -75,6 +75,20 @@ RADIUS_ONLY = {
 }
 
 
+# Integer parameters, one entry point each; infinities and nan are not integers.
+INTEGER = {
+    "cosine_spectrum.k_max": lambda v: cosine_spectrum(1.0, 5.0, v, 8),
+    "cosine_spectrum.n_max": lambda v: cosine_spectrum(1.0, 5.0, 8, v),
+    "parseval_mean_square.k_max": lambda v: parseval_mean_square(1.0, 5.0, v, 8),
+    "parseval_mean_square.n_max": lambda v: parseval_mean_square(1.0, 5.0, 8, v),
+    "mean_square_certificate.cutoff": lambda v: mean_square_certificate(1.0, 5.0, v),
+    "oscillatory_partial_sum.n_max": lambda v: oscillatory_partial_sum(ShearPoint(0.3, 1.0), 5.0, v),
+    "sawtooth_integral.M": lambda v: sawtooth_integral(5.0, v),
+    "lower_bound_witness.k": lambda v: lower_bound_witness(1.0, v),
+    "inscribed_polygon_area.radius": inscribed_polygon_area,
+}
+
+
 @pytest.mark.parametrize("bad", BAD)
 @pytest.mark.parametrize("name", sorted(HEIGHT_AND_RADIUS))
 def test_bad_height_is_invalid(name, bad):
@@ -103,6 +117,13 @@ def test_bad_radius_alone_is_invalid(name, bad):
         RADIUS_ONLY[name](bad)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", sorted(INTEGER))
+def test_non_finite_integer_parameter_is_invalid(name, bad):
+    with pytest.raises(InvalidParameter):
+        INTEGER[name](bad)
+
+
 def test_good_parameters_pass_every_entry_point():
     for fn in HEIGHT_AND_RADIUS.values():
         fn(1.0, 3.0)
@@ -110,3 +131,5 @@ def test_good_parameters_pass_every_entry_point():
         fn(ShearPoint(0.3, 1.0), 3.0)
     for fn in RADIUS_ONLY.values():
         fn(3.0)
+    for fn in INTEGER.values():
+        fn(3)

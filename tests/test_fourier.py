@@ -252,11 +252,12 @@ def _kernel_sines(table, n_lo, n_hi):
 @pytest.mark.parametrize("hw", [0.37, math.sqrt(2.0), 17.77, 99.5, 149.99, 150.0])
 @pytest.mark.parametrize("n_lo, n_hi", [(1, 1 << 18), (1000, 5000), ((1 << 18) - 700, 1 << 18)])
 def test_sine_kernel_matches_direct_sines(hw, n_lo, n_hi):
-    table = fourier._SineTable(np.array([2.0 * math.pi * hw]), n_lo, n_hi)
+    table = fourier._SineTable(np.array([2.0 * math.pi * hw]), n_hi)
     B = table.B
-    # the whole range, and sub-ranges that start, end and straddle q*B boundaries
+    # the range, and sub-ranges that start, end and straddle q*B boundaries
     first = (n_lo // B + 1) * B
     for a, b in [(n_lo, n_hi), (first - 1, first + 2 * B), (first, first + B - 1), (n_hi - B - 3, n_hi)]:
+        a, b = max(a, 1), min(b, n_hi)
         n = np.arange(a, b + 1, dtype=float)
         want = np.sin(2.0 * math.pi * n * hw)
         got = _kernel_sines(table, a, b)
@@ -328,3 +329,50 @@ def test_certificate_dominates_the_exact_mean_square_on_generic_rows(y, scaled):
     exact = breakpoint_oscillatory_mean_square(y, T)
     for cutoff in (2, 16, 128, 1024):
         assert mean_square_certificate(y, T, cutoff) >= exact
+
+
+# The certificate's n > A tail in closed form: with f = {2h},
+# sum_{n>=1} sin(2*pi*n*h)**2 / n**2 = (pi**2/2) * f * (1 - f).
+@pytest.mark.parametrize("h", [1.5, 1.5 - 5e-7, 1.5 + 5e-7, 1.25, 1.25 - 5e-7, 1.25 + 5e-7, 0.5, math.sqrt(2.0)])
+def test_sine_square_series_has_the_closed_form(h):
+    N = 1 << 17
+    n = np.arange(1, N + 1, dtype=float)
+    partial = compensated_sum(np.sin(2.0 * math.pi * n * h) ** 2 / (n * n))
+    f = 2.0 * h - math.floor(2.0 * h)
+    closed = 0.5 * math.pi**2 * f * (1.0 - f)
+    # the terms past N are nonnegative and sum to at most 1/N
+    assert -1e-12 <= closed - partial <= 1.0 / N
+
+
+def _certificate_reference(y, T, cutoffs, N):
+    """The certificate's formula with its n > A sums taken directly up to N,
+    per cutoff A; the rest adds at most (32/pi**2) * (T/sqrt(y)) * M/(2N)."""
+    scaled, _, hw = rows(y, T)
+    n = np.arange(1, N + 1, dtype=float)
+    squares = np.zeros(N)
+    for h in hw:
+        squares += np.sin(n * (2.0 * math.pi * h)) ** 2
+    out = []
+    for A in cutoffs:
+        harmonic = math.fsum(1.0 / n[:A])
+        head = 0.5 * compensated_sum(squares[:A] / n[:A])
+        tail = 0.5 * compensated_sum(squares[A:] / (n[A:] * n[A:]))
+        out.append(2.0 * FOUR_OVER_PI**2 * (harmonic * head + scaled * tail))
+    return out, 2.0 * FOUR_OVER_PI**2 * scaled * 0.5 * hw.size / N
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[(y, float(T)) for T in range(1, 41)] for y in (1.0, 2.0, 4.0)] + [[(0.7, 37.3 * math.sqrt(0.7)), (1.3, 61.8 * math.sqrt(1.3))]],
+    ids=["y=1", "y=2", "y=4", "generic"],
+)
+def test_certificate_evaluates_its_formula_with_the_exact_tail(grid):
+    # N = 64*1024 leaves a remainder well under the M/(20A) that a tail
+    # truncated at 10A and padded by M/(10A) adds; the rounding slack covers
+    # the sine noise of integer half-widths, such as hw = 2 at (2, 2)
+    cutoffs, N = (2, 16, 1024), 1 << 16
+    for y, T in grid:
+        refs, remainder = _certificate_reference(y, T, cutoffs, N)
+        for A, ref in zip(cutoffs, refs):
+            slack = 1e-12 * (1.0 + ref)
+            assert ref - slack <= mean_square_certificate(y, T, A) <= ref + remainder + slack

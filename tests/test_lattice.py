@@ -189,6 +189,15 @@ def test_counters_match_exact_arithmetic_at_ties(case):
     assert rowslice.count == want
 
 
+@pytest.mark.parametrize("T", [1e-13, 5e-13])
+def test_a_radius_that_snaps_to_zero_holds_the_origin_untied(T):
+    # sqrt(y)*T and T/sqrt(y) snap to 0: neither the m = 0 column nor the
+    # edge rows +-R touch the circle
+    z = ShearPoint(0.3, 1.0)
+    for result in (count_rowslice(z, T), count_enumerate(z, T)):
+        assert (result.count, result.ties) == (1, 0)
+
+
 @pytest.mark.parametrize(
     "y,k", [(Fraction(1), 3), (Fraction(2), 4), (Fraction(1, 4), 3), (Fraction(9, 4), 6), (Fraction(3), 7)]
 )

@@ -302,6 +302,19 @@ def test_pairwise_agrees_with_breakpoints_on_integer_grid_and_ties():
         _assert_agrees_with_breakpoints(y, T)
 
 
+@pytest.mark.parametrize("T", [1e-13, 5e-13])
+def test_a_radius_that_snaps_to_zero_is_no_axis_tie(T):
+    # sqrt(y)*T snaps to 0: the m = 0 column holds the origin alone and no
+    # vector lies on the circle, so no segment gains the axis column's 2
+    sw = breakpoints(1.0, T)
+    assert (sw.base_count, sw.axis_tie) == (1, False)
+    pw, bp = mean_square_pairwise(1.0, T), mean_square_breakpoints(1.0, T)
+    # the closed-form mean counts the column as 1 + 2*T, unsnapped
+    assert abs(pw.mean_remainder - bp.mean_remainder) <= 1e-9
+    osc_pw, osc_bp = (rep.mean_square - rep.mean_remainder**2 for rep in (pw, bp))
+    assert abs(osc_pw - osc_bp) <= pw.error_bound + bp.error_bound
+
+
 @settings(max_examples=40)
 @given(st.floats(0.3, 5.0), st.floats(0.5, 120.0))
 def test_pairwise_agrees_with_breakpoints(y, T):
