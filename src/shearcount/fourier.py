@@ -19,9 +19,11 @@ to each half with exact harmonic-number constants, and evaluates the
 orthogonality sums directly, the tail in closed form, yielding a rigorous
 upper bound for the true integral of osc**2 at every cutoff.
 
-The spectrum and Parseval take their sines sin(n*theta_m), theta_m =
-2*pi*hw_m, from an angle-addition kernel (:class:`_SineTable`).  For n_max
-harmonics, B = isqrt(n_max) and n = q*B + j,
+One sine source, :class:`_RowSines`, feeds the spectrum, the Parseval
+blocks, the dropped pairs and :func:`oscillatory_partial_sum`, which sums
+the spectrum's coefficients against cos(2*pi*k*x).  It takes sin(n*theta_m),
+theta_m = 2*pi*hw_m, by angle addition: for n_max harmonics,
+B = isqrt(n_max) and n = q*B + j,
 
     sin(n*theta) = sin(q*B*theta)*cos(j*theta) + cos(q*B*theta)*sin(j*theta),
 
@@ -30,10 +32,10 @@ tables, then two multiplies and an add per entry, instead of n_max calls
 to the scalar libm sine.  Each entry is within 4*eps*(1 + n*theta) of
 np.sin(2*pi*n*hw_m) (tested up to n = 2**18, hw = 150); either way the
 rounded argument dominates, about 1e-8 from the exact sine at n*theta near
-1e8.  A Parseval call builds its tables once; every block, the whole
-spectrum and the dropped pairs see the same bits for a pair (m, n) at a
-given n_max.  n_max below _TABLE_MIN, and rows past the tables' budget of
-_PIECE entries, call np.sin directly, as the certificate always does.
+1e8.  A call builds its tables once, so every block sees the same bits for
+a pair (m, n) at a given n_max.  n_max below _TABLE_MIN, and rows past the
+tables' budget of _PIECE entries, call np.sin directly, as the certificate
+always does.
 """
 from __future__ import annotations
 
@@ -60,10 +62,12 @@ __all__ = [
 _FOUR_OVER_PI = 4.0 / math.pi
 
 #: Hard ceiling on k_max (cosine_spectrum's array is then 256 MiB of float64).
+#: auto_truncation also caps n_max at MAX_COEFFICIENTS // M: not a memory
+#: limit (Parseval works in blocks) but a work budget of 2**25 (m, n) pairs.
 MAX_COEFFICIENTS = 1 << 25
 
 #: auto_truncation refines until the Parseval error bound is under this share
-#: of the value: criterion 7's 1% rule.
+#: of the value, within the MAX_COEFFICIENTS budget: criterion 7's 1% rule.
 _REL_TARGET = 0.01
 
 #: Coefficients per block in parseval_mean_square; a multiple of the chunk
@@ -102,68 +106,50 @@ _TABLE_MIN = 256
 _PIECE = TEMP_ENTRIES // 4
 
 
-class _SineTable:
-    """sin(n*theta) for rows of angles theta and 1 <= n <= n_max, by angle
-    addition.  With B = isqrt(n_max) and n = q*B + j, 0 <= j < B,
+class _RowSines:
+    """sin(2*pi*n*hw_m) for the rows m = 1..M of hw and 1 <= n <= n_max: the
+    one sine source of a call, shared by every block of frequencies.
 
-        sin(n*theta) = sin(q*B*theta)*cos(j*theta) + cos(q*B*theta)*sin(j*theta),
-
-    so a row takes np.sin and np.cos of about 2*sqrt(n_max) arguments and
-    then two multiplies and an add per entry.  An entry depends on its
-    theta, n and B alone, not on the sub-range it is requested in.  Callers
-    keep rows*max(B, n_max/B + 1) within _PIECE.
+    The first rows, as many as keep the tables within _PIECE entries, come
+    from the angle-addition tables of the module docstring (B = isqrt(n_max),
+    n = q*B + j); later rows, and every row when n_max is below _TABLE_MIN,
+    take np.sin of (2*pi*n)*hw_m.  Which one a pair takes, and so its bits,
+    depends on m and n_max alone, not on the sub-range it is requested in.
     """
 
-    def __init__(self, theta: np.ndarray, n_max: int) -> None:
+    def __init__(self, hw: np.ndarray, n_max: int) -> None:
+        self.hw, self.rows, self.n_max = hw, hw.size, n_max
         B = self.B = math.isqrt(n_max)
+        self.tabulated = 0 if n_max < _TABLE_MIN else min(hw.size, _PIECE // max(B, n_max // B + 1))
+        if not self.tabulated:
+            return
+        theta = 2.0 * math.pi * hw[: self.tabulated]
         tables = []
         for n in (np.arange(n_max // B + 1, dtype=float) * B, np.arange(B, dtype=float)):
             arg = np.multiply.outer(theta, n)
             tables += [np.sin(arg), np.cos(arg, out=arg)]
         sin_q, cos_q, sin_j, cos_j = tables
         # per row: (q, 1) columns times (j,) rows broadcast to a (q, j) piece
-        self._rows = [(sin_q[r, :, None], cos_q[r, :, None], sin_j[r], cos_j[r]) for r in range(theta.size)]
+        self._tables = [(sin_q[r, :, None], cos_q[r, :, None], sin_j[r], cos_j[r]) for r in range(self.tabulated)]
         self._step = _PIECE // B
         self._piece, self._temp = np.empty((2, self._step, B))
 
-    def row(self, r: int, n_lo: int, n_hi: int):
-        """Yield (a, b, sines) covering n_lo <= n <= n_hi for row r, sines
-        the 1-D array for a <= n <= b.  Each piece is formed in scratch
-        arrays of _PIECE entries and is valid until the next."""
+    def pieces(self, m: int, n_lo: int, n_hi: int):
+        """Yield (a, b, sines) covering n_lo <= n <= n_hi for row m, sines the
+        1-D array for a <= n <= b.  A tabulated piece is formed in scratch
+        arrays of _PIECE entries; the caller may overwrite each piece before
+        asking for the next."""
+        if m > self.tabulated:
+            yield n_lo, n_hi, np.sin(2.0 * math.pi * np.arange(n_lo, n_hi + 1, dtype=float) * self.hw[m - 1])
+            return
         B = self.B
-        sin_q, cos_q, sin_j, cos_j = self._rows[r]
+        sin_q, cos_q, sin_j, cos_j = self._tables[m - 1]
         for q in range(n_lo // B, n_hi // B + 1, self._step):
             a, b = max(n_lo, q * B), min(n_hi, (q + self._step) * B - 1)
             k = b // B + 1
             piece = np.multiply(sin_q[q:k], cos_j, out=self._piece[: k - q])
             np.add(piece, np.multiply(cos_q[q:k], sin_j, out=self._temp[: k - q]), out=piece)
             yield a, b, piece.ravel()[a - q * B : b - q * B + 1]
-
-
-class _RowSines:
-    """sin(2*pi*n*hw_m) for the rows m = 1..M of hw and 1 <= n <= n_max: one
-    source per call, shared by every block of frequencies.
-
-    The first rows, as many as keep the tables within _PIECE entries, come
-    from one _SineTable over 1..n_max with theta = 2*pi*hw_m; later rows,
-    and every row when n_max is below _TABLE_MIN, take np.sin of
-    (2*pi*n)*hw_m.  Which one a pair takes, and so its bits, depends on m
-    and n_max alone.
-    """
-
-    def __init__(self, hw: np.ndarray, n_max: int) -> None:
-        self.hw, self.rows = hw, hw.size
-        B = math.isqrt(n_max)
-        self.tabulated = 0 if n_max < _TABLE_MIN else min(hw.size, _PIECE // max(B, n_max // B + 1))
-        if self.tabulated:
-            self.table = _SineTable(2.0 * math.pi * hw[: self.tabulated], n_max)
-
-    def pieces(self, m: int, n_lo: int, n_hi: int):
-        """(a, b, sines) pieces covering n_lo <= n <= n_hi for row m; the
-        caller may overwrite each piece before asking for the next."""
-        if m <= self.tabulated:
-            return self.table.row(m - 1, n_lo, n_hi)
-        return ((n_lo, n_hi, np.sin(2.0 * math.pi * np.arange(n_lo, n_hi + 1, dtype=float) * self.hw[m - 1])),)
 
 
 def cosine_spectrum(y: float, T: float, k_max: int, n_max: int) -> FourierSpectrum:
@@ -178,7 +164,7 @@ def cosine_spectrum(y: float, T: float, k_max: int, n_max: int) -> FourierSpectr
     k_max, n_max = _truncation(k_max, n_max)
     return FourierSpectrum(
         k_max=k_max,
-        coeffs=_coefficients(_RowSines(hw, n_max), 1, k_max + 1, n_max),
+        coeffs=_coefficients(_RowSines(hw, n_max), 1, k_max + 1),
         n_max=n_max,
         l2_truncation_bound=_tail_l2_bound(scaled, hw.size, n_max),
     )
@@ -191,14 +177,14 @@ def _truncation(k_max: int, n_max: int) -> tuple[int, int]:
     return k_max, n_max
 
 
-def _coefficients(sines: _RowSines, k_lo: int, k_hi: int, n_max: int) -> np.ndarray:
+def _coefficients(sines: _RowSines, k_lo: int, k_hi: int) -> np.ndarray:
     """c_k for k_lo <= k < k_hi, with ``sines`` a :class:`_RowSines`.  Each
     row m adds sin/n to the progression k = m*n through one strided view, in
     increasing m, and the block is scaled by 4/pi at the end, so every c_k
     sums the same terms in the same order whatever block it is computed in."""
     out = np.zeros(k_hi - k_lo)
     for m in range(1, min(sines.rows, k_hi - 1) + 1):
-        n_lo, n_hi = -(-k_lo // m), min(n_max, (k_hi - 1) // m)
+        n_lo, n_hi = -(-k_lo // m), min(sines.n_max, (k_hi - 1) // m)
         if n_lo > n_hi:
             continue
         for a, b, terms in sines.pieces(m, n_lo, n_hi):
@@ -208,16 +194,16 @@ def _coefficients(sines: _RowSines, k_lo: int, k_hi: int, n_max: int) -> np.ndar
     return np.multiply(out, _FOUR_OVER_PI, out=out)
 
 
-def _squared_sum(sines: _RowSines, k_lo: int, k_hi: int, n_max: int) -> float:
+def _squared_sum(sines: _RowSines, k_lo: int, k_hi: int) -> float:
     """Sum of c_k**2 for k_lo <= k < k_hi, built one block of _BLOCK
     frequencies at a time, with the bits of compensated_sum over the whole
     range."""
     if k_hi - k_lo <= _BLOCK:
-        block = _coefficients(sines, k_lo, k_hi, n_max)
+        block = _coefficients(sines, k_lo, k_hi)
         return compensated_sum(np.square(block, out=block))
     partials = []
     for lo in range(k_lo, k_hi, _BLOCK):
-        block = _coefficients(sines, lo, min(lo + _BLOCK, k_hi), n_max)
+        block = _coefficients(sines, lo, min(lo + _BLOCK, k_hi))
         partials += chunk_sums(np.square(block, out=block))
         del block  # freed before the next block is built
     return math.fsum(partials)
@@ -243,10 +229,10 @@ def parseval_mean_square(y: float, T: float, k_max: int, n_max: int) -> tuple[fl
     M = hw.size
     k_max, n_max = _truncation(k_max, n_max)
     sines = _RowSines(hw, n_max)
-    value = 0.5 * _squared_sum(sines, 1, k_max + 1, n_max)
+    value = 0.5 * _squared_sum(sines, 1, k_max + 1)
     dropped = 0.0
     if M * n_max > k_max:
-        dropped = math.sqrt(0.5 * _squared_sum(sines, k_max + 1, M * n_max + 1, n_max))
+        dropped = math.sqrt(0.5 * _squared_sum(sines, k_max + 1, M * n_max + 1))
 
     eps = _tail_l2_bound(scaled, M, n_max) + dropped
     error_bound = 2.0 * math.sqrt(max(value, 0.0)) * eps + eps * eps
@@ -254,22 +240,23 @@ def parseval_mean_square(y: float, T: float, k_max: int, n_max: int) -> tuple[fl
 
 
 def oscillatory_partial_sum(z: ShearPoint, T: float, n_max: int) -> float:
-    """The doubly truncated series at the given shear coordinate.
+    """The doubly truncated series at the given shear coordinate:
+    sum_k c_k cos(2*pi*k*x) over 1 <= k <= M*n_max, with the coefficients of
+    :func:`cosine_spectrum` built one block of _BLOCK frequencies at a time.
 
     Converges pointwise to :func:`shearcount.formula.oscillatory_sum` as
     n_max grows, at every x where no sawtooth argument is an integer.
     """
     n_max = require_integer("n_max", n_max, 1)
     _, _, hw = rows(z.y, T)
-    if hw.size == 0:
-        return 0.0
-    n = np.arange(1, n_max + 1, dtype=float)
-    x = shear_mod_one(z.x)
-    total = 0.0
-    for m in range(1, hw.size + 1):
-        terms = np.sin(2.0 * math.pi * n * hw[m - 1]) * np.cos(2.0 * math.pi * m * n * x) / n
-        total += compensated_sum(terms)
-    return _FOUR_OVER_PI * total
+    sines = _RowSines(hw, n_max)
+    turn = 2.0 * math.pi * shear_mod_one(z.x)
+    k_hi, partials = hw.size * n_max + 1, []
+    for lo in range(1, k_hi, _BLOCK):
+        block = _coefficients(sines, lo, min(lo + _BLOCK, k_hi))
+        block *= np.cos(turn * np.arange(lo, lo + block.size, dtype=float))
+        partials.append(compensated_sum(block))
+    return math.fsum(partials)
 
 
 def _row_sums(n_max: int, theta: np.ndarray) -> np.ndarray:
@@ -333,10 +320,13 @@ def mean_square_certificate(y: float, T: float, cutoff: int) -> float:
 def auto_truncation(y: float, T: float) -> tuple[int, int]:
     """Pick (k_max, n_max) for :func:`parseval_mean_square`.
 
-    Ensures the truncation is at most 0.1% of the certificate bound, then
-    refines once so the reported error bound undercuts _REL_TARGET (1%) of
-    the measured value whenever the value exceeds 0.1.  k_max is always
-    n_max * (number of rows), so no retained pair is dropped.
+    Aims the truncation at 0.1% of the certificate bound, then refines once
+    so the reported error bound undercuts _REL_TARGET (1%) of the measured
+    value whenever the value exceeds 0.1.  k_max is always n_max * (number
+    of rows M), so no retained pair is dropped.  Both passes cap n_max at
+    MAX_COEFFICIENTS // M, a work budget of 2**25 pairs, and the budget wins
+    for large M: it binds from (y, T) = (1, 600.5), the bound is 1.2% of the
+    value at (1, 1000.5) and 6.6% at M = 29,000.
     """
     scaled, _, hw = rows(y, T)
     M = hw.size

@@ -310,15 +310,17 @@ def mean_remainder_closed(y: float, T: float) -> float:
 
     Rows m != 0 average to exactly twice their half-width over a full period
     of m*x mod 1, and the m = 0 column contributes its decomposition value,
-    so the mean is y * chord_length_sum(T/sqrt(y)) - pi*T**2
-    + (1 - 2*frac(sqrt(y)*T)).
+    so with the half-widths g_m snapped as in :func:`breakpoints` the mean is
+    axis_column's count, plus 2 at an axis tie, plus 4*sum g_m, minus
+    pi*T**2: the mean of the count that both exact integrators integrate.
     """
-    scaled = scaled_radius(y, T)
-    return (
-        y * chord_length_sum(scaled)
-        - math.pi * T * T
-        + (1.0 - 2.0 * frac_snapped(math.sqrt(y) * T))
-    )
+    _, _, hw = rows(y, T)
+    return _closed_mean(y, T, snap_integers(hw, TIE_EPS)[0])
+
+
+def _closed_mean(y: float, T: float, g: np.ndarray) -> float:
+    column, axis_tie = axis_column(y, T)
+    return column + 2 * axis_tie + 4.0 * compensated_sum(g) - math.pi * T * T
 
 
 def mean_square_pairwise(y: float, T: float) -> MeanSquareReport:
@@ -336,8 +338,9 @@ def mean_square_pairwise(y: float, T: float) -> MeanSquareReport:
 
     a finite sum with no event array and no truncation.  The oscillatory
     part has period mean zero, so the mean square is that sum plus the
-    square of mean_remainder_closed.  The half-widths are snapped as in
-    :func:`breakpoints`, so both integrators integrate the same count.
+    square of mean_remainder_closed, taken on the same snapped half-widths.
+    They are snapped as in :func:`breakpoints`, so both integrators
+    integrate the same count.
 
     error_bound is a priori.  |n*hw_m +- m*hw_n| <= 2*T**2, so each B2
     argument carries at most 3*eps*T**2/d of rounding, and B2 has Lipschitz
@@ -362,7 +365,7 @@ def mean_square_pairwise(y: float, T: float) -> MeanSquareReport:
         raise RangeExceeded(f"row count M = {M} exceeds the pairwise ceiling {_MAX_PAIRWISE_ROWS}")
     ms = np.arange(1, M + 1, dtype=float)  # the rows of lattice.rows, checked once
     g, _ = snap_integers(halfwidths(y, T, ms), TIE_EPS)
-    mu = mean_remainder_closed(y, T)
+    mu = _closed_mean(y, T, g)
     mean_sq = _franel_sum(ms, g) + mu * mu
     log_term = 1.0 + math.log(max(M, 1))
     error_bound = math.ulp(1.0) * (log_term**3 * (24.0 * T * T + 48.0 * M) + mean_sq)

@@ -191,6 +191,22 @@ def test_partial_sum_tracks_exact_sum(x, y, T):
     assert abs(got - oscillatory_sum(z, T)) < 0.2
 
 
+@pytest.mark.parametrize("piece", [fourier._PIECE, 256])
+def test_partial_sum_sums_the_spectrum(monkeypatch, piece):
+    # M*n_max = 300,000 frequencies span two blocks; a row's table has
+    # 5000 // 70 + 1 = 72 entries, so with 256-entry pieces only rows 1..3
+    # are tabulated and the rest take np.sin directly
+    monkeypatch.setattr(fourier, "_PIECE", piece)
+    x, y, T, n_max = 0.4, 1.0, 60.2, 5000
+    M = row_limit(T / math.sqrt(y))
+    assert M * n_max > fourier._BLOCK
+    assert fourier._RowSines(rows(y, T)[2], n_max).tabulated == min(M, piece // 72)
+    coeffs = cosine_spectrum(y, T, M * n_max, n_max).coeffs
+    terms = coeffs * np.cos(2.0 * math.pi * x * np.arange(1, coeffs.size + 1, dtype=float))
+    got = oscillatory_partial_sum(ShearPoint(x, y), T, n_max)
+    assert abs(got - math.fsum(terms.tolist())) <= 16.0 * EPS * float(np.sum(np.abs(coeffs)))
+
+
 def test_certificate_empty():
     assert mean_square_certificate(1.0, 0.5, 2) == 0.0
 
@@ -239,9 +255,9 @@ def test_spectrum_csv_malformed_line_is_invalid(line):
 EPS = np.finfo(float).eps
 
 
-def _kernel_sines(table, n_lo, n_hi):
+def _kernel_sines(sines, n_lo, n_hi):
     got, covered = [], n_lo
-    for a, b, piece in table.row(0, n_lo, n_hi):
+    for a, b, piece in sines.pieces(1, n_lo, n_hi):
         assert a == covered and b >= a
         got.append(piece.copy())
         covered = b + 1
@@ -252,15 +268,16 @@ def _kernel_sines(table, n_lo, n_hi):
 @pytest.mark.parametrize("hw", [0.37, math.sqrt(2.0), 17.77, 99.5, 149.99, 150.0])
 @pytest.mark.parametrize("n_lo, n_hi", [(1, 1 << 18), (1000, 5000), ((1 << 18) - 700, 1 << 18)])
 def test_sine_kernel_matches_direct_sines(hw, n_lo, n_hi):
-    table = fourier._SineTable(np.array([2.0 * math.pi * hw]), n_hi)
-    B = table.B
+    sines = fourier._RowSines(np.array([hw]), n_hi)
+    assert sines.tabulated == 1
+    B = sines.B
     # the range, and sub-ranges that start, end and straddle q*B boundaries
     first = (n_lo // B + 1) * B
     for a, b in [(n_lo, n_hi), (first - 1, first + 2 * B), (first, first + B - 1), (n_hi - B - 3, n_hi)]:
         a, b = max(a, 1), min(b, n_hi)
         n = np.arange(a, b + 1, dtype=float)
         want = np.sin(2.0 * math.pi * n * hw)
-        got = _kernel_sines(table, a, b)
+        got = _kernel_sines(sines, a, b)
         assert np.all(np.abs(got - want) <= 4.0 * EPS * (1.0 + 2.0 * math.pi * n * hw))
 
 
@@ -309,8 +326,7 @@ def test_sine_tables_and_scratch_stay_within_the_temporary_cap():
     for M, n_max in [(150, 60000), (2000, 16777), (20000, 1677), (1, 1 << 25)]:
         sines = fourier._RowSines(np.linspace(0.5, 100.0, M), n_max)
         assert sines.tabulated >= 1
-        table = sines.table
-        for arr in (*table._rows[0], table._piece, table._temp):
+        for arr in (*sines._tables[0], sines._piece, sines._temp):
             assert (arr if arr.base is None else arr.base).size <= TEMP_ENTRIES
 
 

@@ -297,8 +297,13 @@ def test_pairwise_tiles_match_the_pair_by_pair_reference(monkeypatch, entries):
         _assert_matches_reference(y, T)
 
 
+# Axis ties that snap: sqrt(y)*T lies within TIE_EPS of an integer but not on it,
+# so the closed-form mean must count the snapped column the breakpoints count.
+SNAPPED_AXIS_TIE_ROWS = [(1.0, 7.0 + 5e-12), (4.0, 3.5 + 2e-12), (1.0, 5.0 + 3e-12)]
+
+
 def test_pairwise_agrees_with_breakpoints_on_integer_grid_and_ties():
-    for y, T in INTEGER_GRID + INTEGER_HALFWIDTH_ROWS + AXIS_TIE_ROWS:
+    for y, T in INTEGER_GRID + INTEGER_HALFWIDTH_ROWS + AXIS_TIE_ROWS + SNAPPED_AXIS_TIE_ROWS:
         _assert_agrees_with_breakpoints(y, T)
 
 
@@ -309,8 +314,8 @@ def test_a_radius_that_snaps_to_zero_is_no_axis_tie(T):
     sw = breakpoints(1.0, T)
     assert (sw.base_count, sw.axis_tie) == (1, False)
     pw, bp = mean_square_pairwise(1.0, T), mean_square_breakpoints(1.0, T)
-    # the closed-form mean counts the column as 1 + 2*T, unsnapped
-    assert abs(pw.mean_remainder - bp.mean_remainder) <= 1e-9
+    # the closed-form mean counts the snapped column, the origin alone
+    assert pw.mean_remainder == bp.mean_remainder
     osc_pw, osc_bp = (rep.mean_square - rep.mean_remainder**2 for rep in (pw, bp))
     assert abs(osc_pw - osc_bp) <= pw.error_bound + bp.error_bound
 
