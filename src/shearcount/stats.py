@@ -15,19 +15,21 @@ arguments.
 Independent integrators check it.  As x sweeps [0, 1) at fixed (y, T)
 the count is piecewise constant: row m gains or loses a point exactly when
 one of its interval endpoints -+hw_m - m*x crosses an integer.  Enumerating
-those crossings gives the exact jump set (:func:`breakpoints`), and
-integrating the piecewise constant remainder over the segments gives the
-period mean and mean square up to floating accumulation
-(:func:`mean_square_breakpoints`).  The crossings of all rows are built in
-one vectorised pass and merged by one in-place sort of int64 keys:
-crossings closer than 1e-13 share a key, so coincident jumps are summed
-exactly in integers, independent of their order; the events grow like
-2*T**2/y, which caps the sweep.  The count on the first segment is read
-off the same snapped rows in closed form (2*g_m, or 2*floor(g_m) + 1, per
-row and mirror), so no count is probed and tied rows still answer.
-:func:`mean_square_parseval` assembles the
-mean square from the truncated cosine spectrum instead.  ``INTEGRATORS``
-maps the names that :func:`sweep` and the CLI accept to these three.
+those crossings gives the exact jump set (:func:`breakpoints`).  The
+crossings of all rows are built in one vectorised pass and merged by one
+in-place sort of int64 keys: crossings closer than 1e-13 share a key, so
+coincident jumps are summed exactly in integers, independent of their
+order; the events grow like 2*T**2/y, which caps the sweep.  The count on
+the first segment is read off the same snapped rows in closed form (2*g_m,
+or 2*floor(g_m) + 1, per row and mirror), so no count is probed and tied
+rows still answer.  :func:`mean_square_breakpoints` integrates the
+piecewise constant remainder level by level: the total length of each
+count level is an exact integer number of grid steps, and math.fsum adds
+the few level terms, so its mean and mean square are within a few ulps of
+the exact integral of the merged count, with no sum whose bits depend on
+the numpy build.  :func:`mean_square_parseval` assembles the mean square
+from the truncated cosine spectrum instead.  ``INTEGRATORS`` maps the names
+that :func:`sweep` and the CLI accept to these three.
 
 Counting convention for the integrals: point counts are strict (boundary
 vectors excluded), but when sqrt(y)*T is a positive integer the two vectors
@@ -203,6 +205,14 @@ def breakpoints(y: float, T: float) -> BreakpointSweep:
     Projected event counts beyond 1e8 raise RangeExceeded (the pairwise
     integrator needs no event array).
     """
+    k, deltas, base, axis_tie = _merged_jumps(y, T)
+    return BreakpointSweep(y=y, T=T, xs=k / _MERGE_SCALE, deltas=deltas, base_count=base, axis_tie=axis_tie)
+
+
+def _merged_jumps(y: float, T: float) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """The merged jumps of :func:`breakpoints` on the merge grid: their int64
+    keys k (the positions are k/1e13), the jumps, the first-segment count
+    and the axis tie."""
     _, ms, hw = rows(y, T)
     if 2.0 * T * T / y > _MAX_SWEEP_EVENTS:
         raise RangeExceeded(
@@ -247,13 +257,12 @@ def breakpoints(y: float, T: float) -> BreakpointSweep:
     keep = sums != 0
     deltas = sums[keep]
     del sums
-    xs = k[keep] / _MERGE_SCALE
 
     # The strict count just above x = 0, then the jumps merged onto k = 0.
     column, axis_tie = axis_column(y, T)
     per_row = np.where(snapped, 2.0 * g, 2.0 * np.floor(g) + 1.0)
     base = column + 2 * int(np.sum(per_row)) + base_jump
-    return BreakpointSweep(y=y, T=T, xs=xs, deltas=deltas, base_count=base, axis_tie=axis_tie)
+    return k[keep], deltas, base, axis_tie
 
 
 def _report_from_integral(
@@ -282,27 +291,68 @@ def _report_from_integral(
 def mean_square_breakpoints(y: float, T: float) -> MeanSquareReport:
     """Exact period mean and mean square of the remainder via the jump set.
 
-    One pass over the sorted events maintains the running count; segment
-    contributions are accumulated with compensated summation, so the result
-    is exact up to a few ulps of the accumulated magnitudes plus the move of
-    every jump onto the merge grid (together reported as error_bound).
+    The count is integrated by level, not by segment.  The merged jumps sit
+    at the integer keys k of the 1e-13 merge grid (taken from the helper
+    behind :func:`breakpoints`, not recovered from its float positions), so
+    with the ends 0 and 10**13 every segment length is an exact int64 key
+    difference and the running count the int64 cumsum of the jumps, plus 2
+    at an axis tie.  np.bincount of the lengths over the count levels gives
+    the total length L_c of each level c: integers below 10**13 < 2**53, so
+    every total is exact, whatever the order of the additions and whatever
+    the numpy build.  With P = fl(pi*T*T), w_c = L_c/1e13 and r_c = c - P,
+    math.fsum adds the few level terms w_c*r_c (the mean), w_c*r_c*r_c (the
+    mean square) and w_c*|r_c| (the absolute mass A of the bound).
+
+    error_bound.  c, P, L_c and 1e13 are floats, so w_c and r_c round once
+    each, w_c*r_c once more and (w_c*r_c)*r_c once more: at most 3 roundings
+    (relative 1.5*eps) per mean term and 5 (2.5*eps) per square term, and
+    math.fsum rounds its result once.  Against the integral with P in place
+    of pi*T**2 the mean is therefore off by under 2*eps*A and the mean
+    square by under 3*eps*mean_square.  P is pi*T**2 to within 3 roundings,
+    |P - pi*T**2| <= 1.5*eps*P, which moves the mean by as much and the mean
+    square by at most 2*|P - pi*T**2|*|mean| + (P - pi*T**2)**2 <=
+    3*eps*P*A + (1.5*eps*P)**2.  The summation part of the bound is
+
+        eps*(3*P*A + 1.5*P + 2*A + 4*mean_square) + (1.5*eps*P)**2.
+
+    On top of it comes the merge grid: each jump sits at most half a grid
+    step plus the rounding of its position away from its crossing, which
+    moves the integral of r**2 by at most one grid step times the change of
+    r**2 across the jump.  Both bounds cover the arithmetic on the computed
+    half-widths.
     """
-    sw = breakpoints(y, T)
-    lengths, counts = sw.segment_counts()
-    if sw.axis_tie:
-        counts = counts + 2
-    r = counts - math.pi * T * T
-    mean = compensated_sum(lengths * r)
-    mean_sq = compensated_sum(lengths * r * r)
-    # accumulation estimate: per-term rounding of r (~eps*pi*T^2) plus the
-    # summation itself (mean_sq is already the absolute term mass)
+    k, deltas, base, axis_tie = _merged_jumps(y, T)
+    n = k.size
+    lengths = np.empty(n + 1, dtype=np.int64)  # segment lengths in grid steps
+    lengths[:n] = k
+    lengths[n] = _MERGE_SCALE
+    lengths[1:] -= k
+    del k
+    counts = np.empty(n + 1, dtype=np.int64)
+    counts[0] = base + 2 * axis_tie
+    np.cumsum(deltas, out=counts[1:])
+    counts[1:] += counts[0]
+    del deltas
+    P = math.pi * T * T
+    square = counts - P
+    square *= square
+    grid = float(np.sum(np.abs(np.diff(square)))) / _MERGE_SCALE
+    del square
+    low = int(counts.min())
+    counts -= low
+    totals = np.bincount(counts, weights=lengths)
+    del counts, lengths  # free the per-segment arrays before the level sums
+    levels = np.flatnonzero(totals)
+    r = (levels + low) - P
+    terms = totals[levels] / _MERGE_SCALE
+    terms *= r
+    mean = math.fsum(terms.tolist())
+    mass = math.fsum(np.abs(terms).tolist())
+    terms *= r
+    mean_sq = math.fsum(terms.tolist())
     eps = np.finfo(float).eps
-    error_bound = eps * (2.0 * math.pi * T * T * compensated_sum(lengths * np.abs(r)) + (sw.xs.size + 2) * mean_sq)
-    # each jump sits at most half a grid step plus the rounding of its
-    # position away from its crossing, which moves the integral of r**2 by at
-    # most one grid step times the change of r**2 across the jump
-    error_bound += float(np.sum(np.abs(np.diff(r * r)))) / _MERGE_SCALE
-    return _report_from_integral(y, T, mean, mean_sq, "breakpoints", error_bound, int(sw.xs.size))
+    error_bound = eps * (3.0 * P * mass + 1.5 * P + 2.0 * mass + 4.0 * mean_sq) + (1.5 * eps * P) ** 2 + grid
+    return _report_from_integral(y, T, mean, mean_sq, "breakpoints", error_bound, n)
 
 
 def mean_remainder_closed(y: float, T: float) -> float:

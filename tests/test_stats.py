@@ -1,6 +1,7 @@
 import io
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,6 +199,41 @@ def test_breakpoint_error_bound_covers_the_merge_grid():
     inner = 2.0 * math.sqrt(3.0) - 3.0
     exact = (1.0 - inner) * (11.0 - 4.0 * math.pi) ** 2 + inner * (13.0 - 4.0 * math.pi) ** 2
     assert abs(rep.mean_square - exact) <= rep.error_bound
+
+
+def _segment_integral(y, T):
+    """The mean, mean square and absolute mass of count - P over the merged
+    count of breakpoints(y, T), segment by segment in exact rationals, with
+    P = fl(pi*T*T) and the axis tie added as in the integrator."""
+    sw = breakpoints(y, T)
+    scaled = sw.xs * 1e13
+    keys = np.rint(scaled)
+    assert np.all(np.abs(scaled - keys) < 1e-2)  # the jumps sit on the 1e-13 grid
+    edges = [0] + [int(k) for k in keys] + [10**13]
+    counts = [sw.base_count + 2 * sw.axis_tie]
+    for d in sw.deltas.tolist():
+        counts.append(counts[-1] + d)
+    P = Fraction(math.pi * T * T)
+    s0 = s1 = s2 = mass = 0
+    for lo, hi, c in zip(edges, edges[1:], counts):
+        s0, s1, s2 = s0 + (hi - lo), s1 + (hi - lo) * c, s2 + (hi - lo) * c * c
+        mass += (hi - lo) * abs(c - P)
+    assert s0 == 10**13
+    return (s1 - P * s0) / s0, (s2 - 2 * P * s1 + P * P * s0) / s0, mass / s0
+
+
+@pytest.mark.parametrize("y,T", [(1.0, 99.0), (1.0, 200.3), (2.0, 7.0), (1.0, 7.0)])
+def test_breakpoint_integral_is_exact_to_a_few_ulps(y, T):
+    # (1, 200.3) has 40,200 segments, more than one 32,768-entry chunk;
+    # (2, 7) has integer half-widths and (1, 7) an axis tie.  The level sums
+    # round each mean term 3 times and each square term 5 times, plus once in
+    # math.fsum: under 2 eps of the absolute mass and 3 eps of the mean square.
+    rep = mean_square_breakpoints(y, T)
+    mean, mean_sq, mass = _segment_integral(y, T)
+    assert abs(Fraction(rep.mean_remainder) - mean) <= 2.0 * EPS * mass
+    assert abs(Fraction(rep.mean_square) - mean_sq) <= 3.0 * EPS * mean_sq
+    assert abs(Fraction(rep.mean_remainder) - mean) <= rep.error_bound
+    assert abs(Fraction(rep.mean_square) - mean_sq) <= rep.error_bound
 
 
 def test_mean_square_cauchy_schwarz():
