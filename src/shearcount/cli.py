@@ -60,7 +60,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--samples", type=int, required=True)
     s.add_argument("--log", action="store_true", help="log-spaced radii")
     s.add_argument("--integrator", choices=tuple(INTEGRATORS), default="pairwise")
-    s.add_argument("--threads", type=int, default=None, help="worker count (default: SHEARCOUNT_THREADS or the CPUs this process may run on)")
+    s.add_argument("--threads", type=int, default=None, help="worker count >= 1 (default: the CPUs this process may run on)")
     s.add_argument("--timing", action="store_true", help="record wall-clock ms per row (breaks byte reproducibility)")
     s.add_argument("--out", required=True)
 
@@ -75,7 +75,6 @@ def _build_parser() -> _Parser:
     v.add_argument("--seed", type=int, default=42)
     v.add_argument("--cases", type=int, default=500)
     v.add_argument("--tmax", type=float, default=150.0)
-    v.add_argument("--inject-fault", action="store_true", help="flip one count; the suite must fail")
 
     return p
 
@@ -127,8 +126,6 @@ def _cmd_sweep(args) -> int:
         _positive(args.radius_max, "--radius-max")
         if args.radius_min > args.radius_max:
             raise _UsageError("--radius-min must not exceed --radius-max")
-    if args.threads is not None and args.threads < 1:
-        raise _UsageError(f"--threads must be >= 1, got {args.threads}")
     y_values = tuple(_positive(y, "--y") for y in args.y) if args.y else (1.0,)
     config = SweepConfig(
         y_values=y_values,
@@ -178,9 +175,7 @@ def _cmd_verify(args) -> int:
     if args.cases == 0:
         print("warning: 0 cases requested; verification is vacuous")
         return EXIT_OK
-    checks = run_verification(
-        seed=args.seed, cases=args.cases, tmax=args.tmax, inject_fault=args.inject_fault
-    )
+    checks = run_verification(seed=args.seed, cases=args.cases, tmax=args.tmax)
     print(format_table(checks))
     if all(c.passed for c in checks):
         print(f"all {len(checks)} checks passed ({args.cases} cases, seed {args.seed})")

@@ -152,8 +152,8 @@ def count_formula(z: ShearPoint, T: float) -> CountResult:
     return CountResult(count=int(round(count_decomposition(z, T).total)), ties=ties, method="formula")
 
 
-#: The counters that :func:`remainder` and the CLI select by name; each maps
-#: (z, T) to a CountResult named by its ``method``.
+#: The counters that the CLI selects by name; each maps (z, T) to a
+#: CountResult named by its ``method``.
 COUNTERS = {
     "enumerate": count_enumerate,
     "rowslice": count_rowslice,
@@ -161,22 +161,23 @@ COUNTERS = {
 }
 
 
-def remainder(z: ShearPoint, T: float, method: str = "rowslice") -> float:
-    """count(z, T) - pi*T**2 with the count taken by the selected method."""
-    if method not in COUNTERS:
-        raise InvalidParameter(f"unknown counting method {method!r}")
-    return COUNTERS[method](z, T).count - math.pi * T * T
+def remainder(z: ShearPoint, T: float) -> float:
+    """count(z, T) - pi*T**2 with the row-sliced count."""
+    return count_rowslice(z, T).count - math.pi * T * T
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
+#: Agreement of successive panel doublings at which sawtooth_integral stops.
+_SAWTOOTH_TOL = 1e-10
 
-def sawtooth_integral(T: float, M: int, tol: float = 1e-10) -> float:
+
+def sawtooth_integral(T: float, M: int) -> float:
     """integral from 0 to M of d/dx sqrt(T**2 - x**2) * sawtooth(x) dx.
 
     The integrand is analytic between consecutive integers (the sawtooth
     breakpoints), so each unit interval is handled by a 64-point Gauss
-    rule, with panels doubled until successive refinements agree to tol;
+    rule, with panels doubled until successive refinements agree to 1e-10;
     RangeExceeded is raised when 256 panels do not.  Satisfies
     0 <= value <= M / (8*sqrt(T**2 - M**2)).
     """
@@ -200,17 +201,12 @@ def sawtooth_integral(T: float, M: int, tol: float = 1e-10) -> float:
         return total
 
     prev = at_panels(1)
-    panels = 2
-    while True:
-        cur = at_panels(panels)
-        if abs(cur - prev) < tol:
+    for doublings in range(1, 9):
+        cur = at_panels(2**doublings)
+        if abs(cur - prev) < _SAWTOOTH_TOL:
             return cur
         prev = cur
-        panels *= 2
-        if panels > 256:
-            raise RangeExceeded(
-                f"sawtooth integral not converged to tol={tol} after 256 panels at T={T}, M={M}"
-            )
+    raise RangeExceeded(f"sawtooth integral not converged to tol={_SAWTOOTH_TOL} after 256 panels at T={T}, M={M}")
 
 
 def circle_area_tail(T: float, a: float) -> float:

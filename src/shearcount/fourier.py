@@ -11,7 +11,7 @@ collecting terms with equal cosine frequency k = m*n gives
 a finite divisor sum per coefficient (hw_m is the row half-width).  Distinct
 cosine frequencies are orthogonal on [0, 1], so the mean square of the
 retained part is half the sum of squared coefficients; the n > n_max tail is
-controlled in L2 and reported as an explicit bound.
+reported as an L2 bound that assumes its rows share no frequency.
 
 :func:`mean_square_certificate` is the fully explicit counterpart of the
 same mean square: it splits the series at a cutoff, applies Cauchy-Schwarz
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, RangeExceeded
-from .lattice import ShearPoint, require_integer, rows, shear_mod_one
+from .lattice import MAX_SCALED_RADIUS, ShearPoint, require_integer, rows, shear_mod_one
 from .numerics import TEMP_ENTRIES, chunk_sums, compensated_sum
 
 __all__ = [
@@ -61,10 +61,13 @@ __all__ = [
 
 _FOUR_OVER_PI = 4.0 / math.pi
 
-#: Hard ceiling on k_max (cosine_spectrum's array is then 256 MiB of float64).
-#: auto_truncation also caps n_max at MAX_COEFFICIENTS // M: not a memory
-#: limit (Parseval works in blocks) but a work budget of 2**25 (m, n) pairs.
+#: Hard ceiling on k_max (cosine_spectrum's array is then 256 MiB of float64)
+#: and a work budget on the M*n_max (m, n) pairs of Parseval and the partial
+#: sum, which auto_truncation keeps by capping n_max at MAX_COEFFICIENTS // M.
 MAX_COEFFICIENTS = 1 << 25
+
+#: One past the largest certificate cutoff auto_truncation asks for, ceil(T/sqrt(y)).
+_MAX_CUTOFF = math.ceil(MAX_SCALED_RADIUS) + 1
 
 #: auto_truncation refines until the Parseval error bound is under this share
 #: of the value, within the MAX_COEFFICIENTS budget: criterion 7's 1% rule.
@@ -81,7 +84,8 @@ class FourierSpectrum:
 
     n_max is the largest sawtooth harmonic retained in each divisor sum and
     l2_truncation_bound bounds the L2(dx) norm of the discarded n > n_max
-    part (it decreases as n_max grows, and is 0 when no rows are occupied).
+    part (it decreases as n_max grows, is 0 when no rows are occupied, and
+    rests on the assumption stated in _tail_l2_bound).
     """
 
     k_max: int
@@ -91,6 +95,9 @@ class FourierSpectrum:
 
 
 def _tail_l2_bound(scaled: float, M: int, n_max: int) -> float:
+    """The n > n_max part's L2 norm as if no two rows shared a frequency.
+    Rows m != m' do share k = m*n = m'*n', so this is an assumption, not a
+    proof; tests pin it (measured tails stay under 0.7 of the bound)."""
     if M == 0:
         return 0.0
     # sum_{n > n_max} n**-2 <= 1/(n_max - 1) for n_max >= 2
@@ -177,6 +184,11 @@ def _truncation(k_max: int, n_max: int) -> tuple[int, int]:
     return k_max, n_max
 
 
+def _require_pairs(M: int, n_max: int) -> None:
+    if M * n_max > MAX_COEFFICIENTS:
+        raise RangeExceeded(f"M*n_max = {M}*{n_max} (m, n) pairs exceed the supported {MAX_COEFFICIENTS}")
+
+
 def _coefficients(sines: _RowSines, k_lo: int, k_hi: int) -> np.ndarray:
     """c_k for k_lo <= k < k_hi, with ``sines`` a :class:`_RowSines`.  Each
     row m adds sin/n to the progression k = m*n through one strided view, in
@@ -213,21 +225,24 @@ def parseval_mean_square(y: float, T: float, k_max: int, n_max: int) -> tuple[fl
     """(value, error_bound) with value = 0.5 * sum of squared coefficients.
 
     error_bound controls |integral of osc**2 over one period - value| via the
-    triangle inequality in L2: the n > n_max tail uses the spectrum's bound,
-    and any retained (m, n) pair whose frequency m*n exceeds k_max (callers
-    are advised to keep k_max >= n_max * floor(T/sqrt(y)) so there are none)
-    is accumulated exactly and added to the truncation radius.
+    triangle inequality in L2: the n > n_max tail uses the spectrum's bound
+    (an assumption, see _tail_l2_bound), and any retained (m, n) pair whose
+    frequency m*n exceeds k_max (callers are advised to keep k_max >= n_max
+    * floor(T/sqrt(y)) so there are none) is accumulated exactly and added
+    to the truncation radius.
 
     The coefficients are built and squared one block of _BLOCK frequencies
     at a time, so no k_max-sized array is held.  The block sums are the
     chunk partials compensated_sum would add, so the value has the same
     bits as summing the whole squared spectrum.  The dropped pairs sum to
     exactly the coefficients c_k for k_max < k <= M*n_max, which are
-    squared and summed the same way.
+    squared and summed the same way.  M*n_max above MAX_COEFFICIENTS
+    raises RangeExceeded before any work.
     """
     scaled, _, hw = rows(y, T)
     M = hw.size
     k_max, n_max = _truncation(k_max, n_max)
+    _require_pairs(M, n_max)
     sines = _RowSines(hw, n_max)
     value = 0.5 * _squared_sum(sines, 1, k_max + 1)
     dropped = 0.0
@@ -246,9 +261,11 @@ def oscillatory_partial_sum(z: ShearPoint, T: float, n_max: int) -> float:
 
     Converges pointwise to :func:`shearcount.formula.oscillatory_sum` as
     n_max grows, at every x where no sawtooth argument is an integer.
+    M*n_max above MAX_COEFFICIENTS raises RangeExceeded before any work.
     """
     n_max = require_integer("n_max", n_max, 1)
     _, _, hw = rows(z.y, T)
+    _require_pairs(hw.size, n_max)
     sines = _RowSines(hw, n_max)
     turn = 2.0 * math.pi * shear_mod_one(z.x)
     k_hi, partials = hw.size * n_max + 1, []
@@ -297,8 +314,11 @@ def mean_square_certificate(y: float, T: float, cutoff: int) -> float:
     (1 - f, f*(1 - f), math.fsum, math.pi, its square and the last product;
     np.modf is exact).  With one each for the difference and the allowance,
     (M + 8)*eps times the two sums covers them; the tail is clamped at 0.
+    A cutoff above _MAX_CUTOFF (10**6 + 1) raises RangeExceeded.
     """
     A = require_integer("cutoff", cutoff, 2)
+    if A > _MAX_CUTOFF:
+        raise RangeExceeded(f"cutoff={A} exceeds the supported {_MAX_CUTOFF}")
     scaled, _, hw = rows(y, T)
     M = hw.size
     if M == 0:

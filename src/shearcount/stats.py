@@ -609,20 +609,11 @@ def _sweep_row(y: float, T: float, config: SweepConfig) -> MeanSquareReport:
 
 
 def default_threads() -> int:
-    """Worker count: SHEARCOUNT_THREADS if set, else the number of CPUs this
-    process may run on (os.cpu_count() where affinity is not available)."""
-    raw = os.environ.get("SHEARCOUNT_THREADS")
-    if raw is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise InvalidParameter(f"SHEARCOUNT_THREADS must be a positive integer, got {raw!r}")
-    return value
+    """Worker count: the number of CPUs this process may run on
+    (os.cpu_count() where affinity is not available)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def sweep(config: SweepConfig, threads: int | None = None) -> list[MeanSquareReport]:
@@ -630,8 +621,8 @@ def sweep(config: SweepConfig, threads: int | None = None) -> list[MeanSquareRep
 
     Rows are independent and may be computed by a worker pool, but results
     are assembled in grid order and each row's arithmetic is sequential, so
-    the output does not depend on the worker count.  Integrator errors are
-    recorded on the affected row instead of aborting the sweep.
+    the output does not depend on threads (default_threads() if None).
+    Integrator errors are recorded on the affected row, not raised.
     """
     if config.integrator not in INTEGRATORS:
         raise InvalidParameter(f"integrator must be one of {tuple(INTEGRATORS)}, got {config.integrator!r}")
@@ -643,6 +634,8 @@ def sweep(config: SweepConfig, threads: int | None = None) -> list[MeanSquareRep
         raise InvalidParameter(
             f"need 0 < radius_min <= radius_max < inf, got {config.radius_min}, {config.radius_max}"
         )
+    if threads is not None and threads < 1:
+        raise InvalidParameter(f"threads must be >= 1, got {threads}")
     params = [(y, float(T)) for y in sorted(config.y_values) for T in config.radii()]
     if not params:
         return []

@@ -58,14 +58,11 @@ def sample_tie_free_cases(
     return out
 
 
-def run_verification(
-    seed: int = 42,
-    cases: int = 500,
-    tmax: float = 150.0,
-    inject_fault: bool = False,
-) -> list[VerifyCheck]:
+def run_verification(seed: int = 42, cases: int = 500, tmax: float = 150.0) -> list[VerifyCheck]:
     if seed < 0:
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
+    if cases < 0:
+        raise InvalidParameter(f"cases must be >= 0, got {cases}")
     rng = np.random.Generator(np.random.PCG64(seed))
     checks: list[VerifyCheck] = []
     if cases == 0:
@@ -74,11 +71,9 @@ def run_verification(
 
     # counts once per case
     results = []
-    for i, (x, y, T) in enumerate(triples):
+    for x, y, T in triples:
         z = ShearPoint(x, y)
         enum = count_enumerate(z, T).count
-        if inject_fault and i == 0:
-            enum += 1
         rows = count_rowslice(z, T).count
         total = count_decomposition(z, T).total
         results.append((x, y, T, enum, rows, total))

@@ -5,7 +5,6 @@ watch them as the suite progresses).  Frozen constants come from the oracle
 sweeps recorded under results/.
 """
 import math
-import os
 import subprocess
 import sys
 import time
@@ -213,7 +212,6 @@ def test_criterion_12_sweep_determinism(tmp_path):
     blobs = []
     for threads, name in (("1", "a.csv"), ("4", "b.csv")):
         path = tmp_path / name
-        env = dict(os.environ, SHEARCOUNT_THREADS=threads)
-        subprocess.run(cmd + ["--out", str(path)], check=True, env=env)
+        subprocess.run(cmd + ["--threads", threads, "--out", str(path)], check=True)
         blobs.append(path.read_bytes())
     report(12, "sweep output byte-identical across worker counts", blobs[0] == blobs[1])

@@ -1,12 +1,12 @@
 import json
 import math
-import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from shearcount import InvalidParameter, read_spectrum_csv, read_sweep_csv, run_verification
+from shearcount import InvalidParameter, read_spectrum_csv, read_sweep_csv, run_verification, verify
 from shearcount.cli import main
 from shearcount.stats import INTEGRATORS
 
@@ -211,16 +211,27 @@ def test_sweep_with_every_row_refused_exits_3(tmp_path, capsys):
     assert "every sweep row failed" in err
 
 
-def test_sweep_deterministic_across_thread_env(tmp_path):
+def test_sweep_deterministic_across_thread_counts(tmp_path):
     cmd = [sys.executable, "-m", "shearcount", "sweep", "--y", "1", "--y", "2",
            "--radius-min", "5", "--radius-max", "60", "--samples", "4", "--log"]
     outs = []
     for threads, name in (("1", "a.csv"), ("3", "b.csv")):
         path = tmp_path / name
-        env = dict(os.environ, SHEARCOUNT_THREADS=threads)
-        subprocess.run(cmd + ["--out", str(path)], check=True, env=env)
+        subprocess.run(cmd + ["--threads", threads, "--out", str(path)], check=True)
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_thread(tmp_path, capsys, threads):
+    code, _, err = run(
+        ["sweep", "--radius-min", "5", "--radius-max", "6", "--samples", "2",
+         "--threads", threads, "--out", str(tmp_path / "f.csv")],
+        capsys,
+    )
+    assert code == 1
+    assert "threads must be >= 1" in err
+    assert not (tmp_path / "f.csv").exists()
 
 
 # ---- spectrum ----
@@ -266,10 +277,18 @@ def test_verify_zero_cases_vacuous(capsys):
     assert "vacuous" in out
 
 
-def test_verify_injected_fault_detected(capsys):
-    code, out, _ = run(["verify", "--seed", "42", "--cases", "20", "--inject-fault"], capsys)
+def test_verify_injected_fault_detected(capsys, monkeypatch):
+    # an enumerate oracle that counts one vector too many must fail the suite
+    real = verify.count_enumerate
+
+    def overcount(z, T):
+        result = real(z, T)
+        return replace(result, count=result.count + 1)
+
+    monkeypatch.setattr(verify, "count_enumerate", overcount)
+    code, out, _ = run(["verify", "--seed", "42", "--cases", "20"], capsys)
     assert code == 4
-    assert "FAIL" in out
+    assert "oracle-equivalence" in out and "FAIL" in out
 
 
 @pytest.mark.parametrize("flags", ["--tmax 1", "--tmax 0.5", "--tmax -5", "--tmax inf", "--tmax nan", "--seed -1"])
@@ -287,3 +306,5 @@ def test_verification_library_rejects_bad_tmax_and_seed():
         run_verification(cases=1, tmax=math.inf)
     with pytest.raises(InvalidParameter, match="seed"):
         run_verification(seed=-1, cases=1)
+    with pytest.raises(InvalidParameter, match="cases"):
+        run_verification(cases=-2)

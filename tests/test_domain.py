@@ -1,6 +1,9 @@
 """Every public (y, T) or T-only entry point refuses a non-positive or
-non-finite height or radius with InvalidParameter, whatever layer it lives in."""
+non-finite height or radius with InvalidParameter, whatever layer it lives in,
+and the Fourier entry points refuse unbounded work with RangeExceeded."""
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -133,3 +136,20 @@ def test_good_parameters_pass_every_entry_point():
         fn(3.0)
     for fn in INTEGER.values():
         fn(3)
+
+
+# Calls far past the Fourier work budget: 4e12 (m, n) pairs, or a 745 GiB row-sum array.
+UNBOUNDED = [
+    "parseval_mean_square(1.0, 5.0, 8, 10**12)",
+    "oscillatory_partial_sum(sc.ShearPoint(0.3, 1.0), 5.0, 10**12)",
+    "mean_square_certificate(1.0, 5.0, 10**11)",
+]
+
+
+@pytest.mark.parametrize("call", UNBOUNDED)
+def test_unbounded_fourier_work_is_refused(call):
+    # a subprocess with a timeout, so that a call that runs without bound fails the test
+    script = (f"import shearcount as sc\ntry:\n    sc.{call}\nexcept sc.RangeExceeded:\n    raise SystemExit(0)\n"
+              "raise SystemExit('no RangeExceeded')")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -24,6 +24,7 @@ from shearcount import (
     sawtooth,
     sawtooth_integral,
 )
+from shearcount import formula
 
 SQ125 = math.sqrt(1.25)
 
@@ -173,10 +174,8 @@ def test_count_formula_reports_ties():
 
 def test_remainder_examples():
     assert remainder(ShearPoint(0.0, 1.0), 1.0) == pytest.approx(1.0 - math.pi)
-    assert remainder(ShearPoint(0.0, 1.0), 2.0, "enumerate") == pytest.approx(9.0 - 4.0 * math.pi)
-    assert remainder(ShearPoint(0.5, 1.0), 1.5, "formula") == pytest.approx(7.0 - 2.25 * math.pi)
-    with pytest.raises(InvalidParameter):
-        remainder(ShearPoint(0.0, 1.0), 1.0, "magic")
+    assert remainder(ShearPoint(0.0, 1.0), 2.0) == pytest.approx(9.0 - 4.0 * math.pi)
+    assert remainder(ShearPoint(0.5, 1.0), 1.5) == pytest.approx(7.0 - 2.25 * math.pi)
 
 
 def test_remainder_tracks_oscillatory_part():
@@ -207,10 +206,11 @@ def test_sawtooth_integral_domain():
         sawtooth_integral(2.0, -1)
 
 
-def test_sawtooth_integral_refuses_an_unconverged_value():
-    # tol = 0 can never be met, so no value may be returned
+def test_sawtooth_integral_refuses_an_unconverged_value(monkeypatch):
+    # a tolerance of 0 can never be met, so no value may be returned
+    monkeypatch.setattr(formula, "_SAWTOOTH_TOL", 0.0)
     with pytest.raises(RangeExceeded, match=r"tol=0\.0.*T=3\.0, M=2"):
-        sawtooth_integral(3.0, 2, tol=0.0)
+        sawtooth_integral(3.0, 2)
 
 
 def test_circle_area_tail_quarter_disk():

@@ -76,6 +76,20 @@ def test_truncation_bound_decreases_with_harmonics():
     assert bounds == sorted(bounds, reverse=True)
 
 
+@pytest.mark.parametrize("y, T", [(1.0, 20.0), (2.5, 31.6), (4.0, 60.0)])
+def test_truncation_bound_covers_the_measured_tail(y, T):
+    # The bound treats the n > n_max pairs as if no two rows shared a
+    # frequency; rows do share k = m*n = m'*n', so check the assumption on
+    # the tail it covers, n_max < n <= 2**15, with a margin (measured: 0.70).
+    n_top = 1 << 15
+    k_max = rows(y, T)[2].size * n_top
+    full = cosine_spectrum(y, T, k_max, n_top).coeffs
+    for n_max in (8, 128, 512):
+        spectrum = cosine_spectrum(y, T, k_max, n_max)
+        tail = full - spectrum.coeffs
+        assert math.sqrt(0.5 * compensated_sum(tail * tail)) < 0.9 * spectrum.l2_truncation_bound
+
+
 def test_parseval_empty():
     assert parseval_mean_square(1.0, 0.5, 16, 16) == (0.0, 0.0)
 

@@ -607,14 +607,18 @@ def test_untimed_sweep_csv_writes_zero_elapsed_ms():
 
 
 def test_default_threads_counts_the_cpus_the_process_may_run_on(monkeypatch):
-    monkeypatch.delenv("SHEARCOUNT_THREADS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert default_threads() == 2
     monkeypatch.delattr(os, "sched_getaffinity")
     assert default_threads() == 64
-    monkeypatch.setenv("SHEARCOUNT_THREADS", "3")
-    assert default_threads() == 3
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_sweep_rejects_fewer_than_one_thread(threads):
+    cfg = SweepConfig(y_values=(1.0,), radius_min=2.0, radius_max=4.0, samples=2)
+    with pytest.raises(InvalidParameter, match="threads must be >= 1"):
+        sweep(cfg, threads=threads)
 
 
 def test_sweep_csv_error_column_only_when_needed():
