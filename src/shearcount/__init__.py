@@ -58,7 +58,7 @@ from .stats import (
     sweep,
     write_sweep_csv,
 )
-from .verify import VerifyCheck, run_verification, sample_tie_free_cases
+from .verify import VerifyCheck, run_verification
 
 __version__ = "0.1.0"
 
@@ -104,7 +104,6 @@ __all__ = [
     "read_sweep_csv",
     "remainder",
     "run_verification",
-    "sample_tie_free_cases",
     "sawtooth",
     "sawtooth_integral",
     "sweep",

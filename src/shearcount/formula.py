@@ -37,7 +37,7 @@ from .lattice import (
     rows,
     shear_mod_one,
 )
-from .numerics import TIE_EPS, compensated_sum, frac_snapped, snap_integer
+from .numerics import compensated_sum, frac_snapped, snap_integer
 
 __all__ = [
     "DecompositionResult",
@@ -110,7 +110,7 @@ def chord_sum_error_bound(T: float) -> float:
     require_positive("T", T)
     if not T >= 2:
         raise InvalidParameter(f"need T >= 2, got {T}")
-    snapped, _ = snap_integer(T, TIE_EPS)
+    snapped, _ = snap_integer(T)
     M = int(math.floor(snapped)) - 1
     w = math.sqrt((T - M) * (T + M))
     return M / (2.0 * w) + 8.0 * w
@@ -232,7 +232,7 @@ def chord_identity_residual(T: float) -> tuple[float, float, float]:
     require_positive("T", T)
     if not T >= 2:
         raise InvalidParameter(f"need T >= 2, got {T}")
-    snapped, _ = snap_integer(T, TIE_EPS)
+    snapped, _ = snap_integer(T)
     M = int(math.floor(snapped)) - 1
     ms = np.arange(1, M + 1, dtype=float)
     half_sum = 0.5 * (T + 2.0 * compensated_sum(np.sqrt(T - ms) * np.sqrt(T + ms)))

@@ -66,7 +66,10 @@ _FOUR_OVER_PI = 4.0 / math.pi
 #: sum, which auto_truncation keeps by capping n_max at MAX_COEFFICIENTS // M.
 MAX_COEFFICIENTS = 1 << 25
 
-#: One past the largest certificate cutoff auto_truncation asks for, ceil(T/sqrt(y)).
+#: Largest certificate cutoff: one past ceil(T/sqrt(y)) at the largest
+#: accepted scaled radius, so a cutoff at the scaled radius (the one
+#: scripts/upper_bound_sweep.py takes) fits every accepted row, and a cutoff
+#: far beyond any row is refused before its A*M sines are taken.
 _MAX_CUTOFF = math.ceil(MAX_SCALED_RADIUS) + 1
 
 #: auto_truncation refines until the Parseval error bound is under this share
@@ -340,22 +343,19 @@ def mean_square_certificate(y: float, T: float, cutoff: int) -> float:
 def auto_truncation(y: float, T: float) -> tuple[int, int]:
     """Pick (k_max, n_max) for :func:`parseval_mean_square`.
 
-    Aims the truncation at 0.1% of the certificate bound, then refines once
-    so the reported error bound undercuts _REL_TARGET (1%) of the measured
-    value whenever the value exceeds 0.1.  k_max is always n_max * (number
-    of rows M), so no retained pair is dropped.  Both passes cap n_max at
-    MAX_COEFFICIENTS // M, a work budget of 2**25 pairs, and the budget wins
-    for large M: it binds from (y, T) = (1, 600.5), the bound is 1.2% of the
-    value at (1, 1000.5) and 6.6% at M = 29,000.
+    Measures the Parseval value at n_max = 64, then refines once so the
+    reported error bound undercuts _REL_TARGET (1%) of that value whenever
+    it exceeds 0.1.  k_max is always n_max * (number of rows M), so no
+    retained pair is dropped.  Both passes cap n_max at MAX_COEFFICIENTS //
+    M, a work budget of 2**25 pairs, and the budget wins for large M: it
+    binds from (y, T) = (1, 600.5), the bound is 1.2% of the value at
+    (1, 1000.5) and 6.6% at M = 29,000.
     """
     scaled, _, hw = rows(y, T)
     M = hw.size
     if M == 0:
         return 1, 1
-    cert = mean_square_certificate(y, T, max(2, int(math.ceil(scaled))))
-    target = 1e-3 * cert
-    n1 = 2 + int((8.0 / math.pi**2) * scaled / (target * target)) if target > 0 else 64
-    n1 = min(max(n1, 64), 1 << 18, MAX_COEFFICIENTS // M)
+    n1 = min(64, MAX_COEFFICIENTS // M)
     value, _ = parseval_mean_square(y, T, n1 * M, n1)
     if value <= 0.1:
         return n1 * M, n1

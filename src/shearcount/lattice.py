@@ -130,7 +130,7 @@ def row_limit(scaled: float) -> int:
     Near-integer radii are treated as exact, so the boundary row (which holds
     no interior points under strict counting) is excluded deterministically.
     """
-    snapped, tie = snap_integer(scaled, TIE_EPS)
+    snapped, tie = snap_integer(scaled)
     if tie:
         return max(0, int(snapped) - 1)
     return max(0, int(math.floor(scaled)))
@@ -158,7 +158,7 @@ def rows(y: float, T: float) -> tuple[float, np.ndarray, np.ndarray]:
 def axis_column(y: float, T: float) -> tuple[int, bool]:
     """(strict count, tie) of the m = 0 column |n| < g0, g0 the snapped sqrt(y)*T:
     max(2*ceil(g0) - 1, 1) points; (0, +-T) on the circle, a tie, needs g0 >= 1."""
-    g0, tie = snap_integer(math.sqrt(y) * T, TIE_EPS)
+    g0, tie = snap_integer(math.sqrt(y) * T)
     return max(2 * int(math.ceil(g0)) - 1, 1), tie and g0 >= 1
 
 
@@ -208,13 +208,13 @@ def count_rowslice(z: ShearPoint, T: float) -> CountResult:
 
     count, ties = axis_column(z.y, T)
 
-    lo, tie_lo = snap_integers(hw - ms * x, TIE_EPS)
-    hi, tie_hi = snap_integers(hw + ms * x, TIE_EPS)
+    lo, tie_lo = snap_integers(hw - ms * x)
+    hi, tie_hi = snap_integers(hw + ms * x)
     # Rows m and -m hold the same number of points at every x.
     per_row = np.ceil(lo) + np.ceil(hi) - 1.0
     count += 2 * int(np.sum(np.maximum(per_row, 0.0)))
     ties += 2 * int(np.count_nonzero(tie_lo | tie_hi))
-    R, edge = snap_integer(scaled, TIE_EPS)
-    if edge and R >= 1 and snap_integer(R * x, TIE_EPS)[1]:
+    R, edge = snap_integer(scaled)
+    if edge and R >= 1 and snap_integer(R * x)[1]:
         ties += 2
     return CountResult(count=count, ties=ties, method="rowslice")

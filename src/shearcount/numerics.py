@@ -48,27 +48,27 @@ def chunk_sums(arr: np.ndarray) -> list[float]:
     return [float(np.sum(arr[i:i + _CHUNK])) for i in range(0, arr.size, _CHUNK)]
 
 
-def snap_integer(u: float, rel_eps: float) -> tuple[float, bool]:
-    """Round u to the nearest integer when within rel_eps*max(1,|u|) of it.
+def snap_integer(u: float) -> tuple[float, bool]:
+    """Round u to the nearest integer when within TIE_EPS*max(1,|u|) of it.
 
     Returns (possibly snapped value, snapped?).  The tolerance is relative so
     the test stays meaningful when |u| is large.
     """
     r = float(round(u))
-    if abs(u - r) <= rel_eps * max(1.0, abs(u)):
+    if abs(u - r) <= TIE_EPS * max(1.0, abs(u)):
         return r, True
     return u, False
 
 
-def snap_integers(u: np.ndarray, rel_eps: float) -> tuple[np.ndarray, np.ndarray]:
+def snap_integers(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vector version of :func:`snap_integer`; returns (snapped, tie_mask)."""
     r = np.rint(u)
-    tie = np.abs(u - r) <= rel_eps * np.maximum(1.0, np.abs(u))
+    tie = np.abs(u - r) <= TIE_EPS * np.maximum(1.0, np.abs(u))
     return np.where(tie, r, u), tie
 
 
 def frac_snapped(u: float) -> float:
     """Fractional part of u, with integers to within TIE_EPS treated as exact."""
-    if snap_integer(u, TIE_EPS)[1]:
+    if snap_integer(u)[1]:
         return 0.0
     return u - math.floor(u)

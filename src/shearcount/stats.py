@@ -64,7 +64,7 @@ from .lattice import (
     scaled_radius,
     shear_mod_one,
 )
-from .numerics import TEMP_ENTRIES, TIE_EPS, compensated_sum, frac_snapped, snap_integers
+from .numerics import TEMP_ENTRIES, compensated_sum, frac_snapped, snap_integers
 
 __all__ = [
     "BreakpointSweep",
@@ -112,13 +112,6 @@ class BreakpointSweep:
     deltas: np.ndarray
     base_count: int
     axis_tie: bool
-
-    def segment_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lengths, strict counts) of the constant segments partitioning [0, 1]."""
-        edges = np.concatenate([[0.0], self.xs, [1.0]])
-        lengths = np.diff(edges)
-        counts = self.base_count + np.concatenate([[0], np.cumsum(self.deltas)])
-        return lengths, counts
 
     def count_at(self, x: float) -> int:
         """Strict count at a non-jump shear coordinate (x taken mod 1)."""
@@ -219,7 +212,7 @@ def _merged_jumps(y: float, T: float) -> tuple[np.ndarray, np.ndarray, int, bool
             f"projected event count 2*T^2/y = {2 * T * T / y:.3g} exceeds {_MAX_SWEEP_EVENTS:.0e}"
         )
     M = ms.size
-    g, snapped = snap_integers(hw, TIE_EPS)
+    g, snapped = snap_integers(hw)
 
     # Half-rows 0..M-1 hold the exits x = (g - n)/m, half-rows M..2M-1 the
     # entries x = (-g - n)/m; n runs over the integers strictly inside
@@ -365,7 +358,7 @@ def mean_remainder_closed(y: float, T: float) -> float:
     pi*T**2: the mean of the count that both exact integrators integrate.
     """
     _, _, hw = rows(y, T)
-    return _closed_mean(y, T, snap_integers(hw, TIE_EPS)[0])
+    return _closed_mean(y, T, snap_integers(hw)[0])
 
 
 def _closed_mean(y: float, T: float, g: np.ndarray) -> float:
@@ -414,7 +407,7 @@ def mean_square_pairwise(y: float, T: float) -> MeanSquareReport:
     if M > _MAX_PAIRWISE_ROWS:
         raise RangeExceeded(f"row count M = {M} exceeds the pairwise ceiling {_MAX_PAIRWISE_ROWS}")
     ms = np.arange(1, M + 1, dtype=float)  # the rows of lattice.rows, checked once
-    g, _ = snap_integers(halfwidths(y, T, ms), TIE_EPS)
+    g, _ = snap_integers(halfwidths(y, T, ms))
     mu = _closed_mean(y, T, g)
     mean_sq = _franel_sum(ms, g) + mu * mu
     log_term = 1.0 + math.log(max(M, 1))

@@ -39,9 +39,10 @@ class VerifyCheck:
 
 def sample_tie_free_cases(
     rng: np.random.Generator, cases: int, tmax: float
-) -> list[tuple[float, float, float]]:
-    """(x, y, T) triples with y in [0.5, 4], T in (1, tmax], resampled until
-    both counting methods report zero boundary ties; tmax must lie in (1, inf)."""
+) -> list[tuple[float, float, float, int, int]]:
+    """(x, y, T, enumerate count, rowslice count) with y in [0.5, 4], T in
+    (1, tmax], resampled until both counting methods report zero boundary
+    ties; tmax must lie in (1, inf)."""
     if not 1.0 < tmax < math.inf:
         raise InvalidParameter(f"tmax must satisfy 1 < tmax < inf, got {tmax}")
     out = []
@@ -52,9 +53,13 @@ def sample_tie_free_cases(
         if T <= 1.0:
             continue
         z = ShearPoint(x, y)
-        if count_rowslice(z, T).ties or count_enumerate(z, T).ties:
+        rows = count_rowslice(z, T)
+        if rows.ties:
             continue
-        out.append((x, y, T))
+        enum = count_enumerate(z, T)
+        if enum.ties:
+            continue
+        out.append((x, y, T, enum.count, rows.count))
     return out
 
 
@@ -67,19 +72,13 @@ def run_verification(seed: int = 42, cases: int = 500, tmax: float = 150.0) -> l
     checks: list[VerifyCheck] = []
     if cases == 0:
         return checks
-    triples = sample_tie_free_cases(rng, cases, tmax)
-
-    # counts once per case
-    results = []
-    for x, y, T in triples:
-        z = ShearPoint(x, y)
-        enum = count_enumerate(z, T).count
-        rows = count_rowslice(z, T).count
-        total = count_decomposition(z, T).total
-        results.append((x, y, T, enum, rows, total))
+    results = [
+        (x, y, T, enum, rows, count_decomposition(ShearPoint(x, y), T).total)
+        for x, y, T, enum, rows in sample_tie_free_cases(rng, cases, tmax)
+    ]
 
     def record(name, worst, tol, detail_on_fail=""):
-        checks.append(VerifyCheck(name, len(triples), worst, tol, worst <= tol, detail_on_fail))
+        checks.append(VerifyCheck(name, len(results), worst, tol, worst <= tol, detail_on_fail))
 
     worst, bad = 0.0, ""
     for x, y, T, enum, rows, _ in results:

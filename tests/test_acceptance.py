@@ -32,7 +32,7 @@ def report(num, name, ok, detail=""):
 @pytest.fixture(scope="module")
 def seeded_cases():
     rng = np.random.Generator(np.random.PCG64(SEED))
-    return sample_tie_free_cases(rng, 500, 150.0)
+    return [case[:3] for case in sample_tie_free_cases(rng, 500, 150.0)]
 
 
 def test_criterion_1_and_2_exact_identity_and_oracles(seeded_cases):

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from shearcount import (
     InvalidParameter,
     ShearPoint,
+    auto_truncation,
     cosine_spectrum,
     mean_square_breakpoints,
     mean_square_certificate,
+    mean_square_parseval,
     oscillatory_partial_sum,
     oscillatory_sum,
     parseval_mean_square,
@@ -176,6 +178,26 @@ def test_parseval_quadrature_cross_check():
     quad = math.fsum(vals) / n
     value, err = parseval_mean_square(y, T, 3000, 1000)
     assert value == pytest.approx(quad, abs=5e-3)
+
+
+@pytest.mark.parametrize("y, T", [(1.0, 100.5), (1.0, 1.5)])
+def test_auto_truncation_runs_without_the_certificate(monkeypatch, y, T):
+    def refuse(*args):
+        raise AssertionError("auto_truncation called mean_square_certificate")
+
+    monkeypatch.setattr(fourier, "mean_square_certificate", refuse)
+    k_max, n_max = auto_truncation(y, T)
+    assert k_max == n_max * row_limit(T / math.sqrt(y))
+    assert mean_square_parseval(y, T).error_bound > 0.0
+
+
+@pytest.mark.parametrize(
+    "y, T, expected",
+    [(1.0, 100.5, (6169400, 61694)), (2.0, 150.3, (6046240, 57040)), (1.0, 600.5, (33554400, 55924))],
+)
+def test_auto_truncation_keeps_its_truncation_on_wide_rows(y, T, expected):
+    # 100 to 600 rows: the refinement from the first pass at n_max = 64 sets these
+    assert auto_truncation(y, T) == expected
 
 
 def test_partial_sum_trivial_and_single_term():

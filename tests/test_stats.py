@@ -28,7 +28,7 @@ from shearcount import (
     write_sweep_csv,
 )
 from shearcount.lattice import halfwidths, row_limit, scaled_radius
-from shearcount.numerics import TEMP_ENTRIES, TIE_EPS, snap_integer
+from shearcount.numerics import TEMP_ENTRIES, snap_integer
 from shearcount.stats import SWEEP_HEADER, default_threads
 
 MEAN_GRID = [(y, T) for T in (1.5, 7.3, 20.0, 50.0) for y in (0.7, 1.0, 2.5)]
@@ -44,7 +44,7 @@ def _reference_breakpoints(y, T):
     if M > 0:
         hw = halfwidths(y, T, np.arange(1, M + 1, dtype=float))
         for m in range(1, M + 1):
-            g, _ = snap_integer(float(hw[m - 1]), TIE_EPS)
+            g, _ = snap_integer(float(hw[m - 1]))
             n = np.arange(math.floor(g - m) + 1, math.ceil(g))
             xs_parts.append((g - n) / m)
             delta_parts.append(np.full(n.size, -2, dtype=np.int64))
@@ -67,7 +67,7 @@ def _reference_breakpoints(y, T):
         xs, deltas = xs[starts][keep], sums[keep]
     # the count comes from count_rowslice at a tie-free point of the first
     # segment, independently of the row formula that breakpoints uses
-    _, axis_tie = snap_integer(math.sqrt(y) * T, TIE_EPS)
+    _, axis_tie = snap_integer(math.sqrt(y) * T)
     x_base = float(xs[0]) / 2.0 if xs.size else 0.5
     for _ in range(64):
         anchor = count_rowslice(ShearPoint(x_base, y), T)
@@ -274,7 +274,7 @@ def _reference_oscillatory_square(y, T):
     (integral of osc**2, the absolute mass of its terms)."""
     M = row_limit(scaled_radius(y, T))
     hw = halfwidths(y, T, np.arange(1, M + 1, dtype=float))
-    g = [snap_integer(float(h), 1e-12)[0] for h in hw]
+    g = [snap_integer(float(h))[0] for h in hw]
 
     def b2(u):
         f = u - math.floor(u)
@@ -449,7 +449,7 @@ def _longdouble_oscillatory_square(y, T):
     np.longdouble with exact gcds."""
     M = row_limit(scaled_radius(y, T))
     ms = np.arange(1, M + 1)
-    g = np.array([snap_integer(float(h), 1e-12)[0] for h in halfwidths(y, T, ms.astype(float))], dtype=np.longdouble)
+    g = np.array([snap_integer(float(h))[0] for h in halfwidths(y, T, ms.astype(float))], dtype=np.longdouble)
     n = ms.astype(np.longdouble)
     total = np.longdouble(0)
     for m in range(1, M + 1):
@@ -474,12 +474,27 @@ def test_pairwise_stays_within_its_bound_of_a_long_double_sum(y, T):
 
 # ---- parseval-assembled integrator ----
 
+# M = 1 and 2, integer-grid rows with y in {1, 2, 4} and T <= 40, and two
+# generic rows: all with M <= 39
+PARSEVAL_ASSEMBLED_ROWS = [
+    (1.0, 1.5), (1.0, 2.0), (2.0, 2.0), (4.0, 4.0), (1.0, 3.0), (2.0, 4.0), (4.0, 5.0),
+    (4.0, 13.0), (1.0, 17.0), (2.0, 23.0), (4.0, 40.0), (2.0, 40.0), (1.0, 40.0), (0.7, 6.1), (2.5, 31.6),
+]
+
+
 def test_parseval_assembled_matches_exact():
-    pa = mean_square_parseval(1.0, 1.5)
-    exact = mean_square_breakpoints(1.0, 1.5)
-    assert pa.method == "parseval-assembled"
-    assert abs(pa.mean_square - exact.mean_square) <= pa.error_bound
-    assert pa.mean_remainder == pytest.approx(exact.mean_remainder, abs=1e-12)
+    for y, T in PARSEVAL_ASSEMBLED_ROWS:
+        M = row_limit(scaled_radius(y, T))
+        pa = mean_square_parseval(y, T)
+        exact = mean_square_breakpoints(y, T)
+        assert pa.method == "parseval-assembled"
+        assert abs(pa.mean_square - exact.mean_square) <= pa.error_bound
+        # both means add M rows' terms
+        assert pa.mean_remainder == pytest.approx(exact.mean_remainder, abs=1e-12 * M)
+        # criterion 7's 1% rule on the oscillatory value
+        value = pa.mean_square - pa.mean_remainder**2
+        if value > 0.1:
+            assert pa.error_bound <= 0.01 * value
 
 
 # ---- lower-bound witnesses ----
