@@ -17,7 +17,8 @@ where
 
 ``C(R) - pi*R**2`` is O(sqrt(R)); :func:`chord_sum_error_bound` makes the
 constant explicit, and :func:`sawtooth_integral` evaluates the integral that
-drives that bound.
+drives that bound, one 64-node Gauss rule per unit interval.  Functions of
+a radius alone check it with :func:`~shearcount.lattice.scaled_radius` (y = 1).
 """
 from __future__ import annotations
 
@@ -26,18 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, RangeExceeded
+from .errors import InvalidParameter
 from .lattice import (
     CountResult,
     ShearPoint,
     count_enumerate,
     count_rowslice,
     require_integer,
-    require_positive,
     rows,
+    scaled_radius,
     shear_mod_one,
 )
-from .numerics import compensated_sum, frac_snapped, snap_integer
+from .numerics import TEMP_ENTRIES, compensated_sum, frac_snapped, snap_integer
 
 __all__ = [
     "DecompositionResult",
@@ -70,12 +71,8 @@ class DecompositionResult:
     total: float
 
 
-def sawtooth(t: float) -> float:
-    """The odd 1-periodic sawtooth 1/2 - frac(t), with values in (-1/2, 1/2]."""
-    return 0.5 - (t - math.floor(t))
-
-
-def _sawtooth_arr(t: np.ndarray) -> np.ndarray:
+def sawtooth(t: float | np.ndarray) -> float | np.ndarray:
+    """The odd 1-periodic sawtooth 1/2 - frac(t) of a float or an array, in (-1/2, 1/2]."""
     return 0.5 - (t - np.floor(t))
 
 
@@ -96,6 +93,17 @@ def chord_sum_error(T: float) -> float:
     return chord_length_sum(T) - math.pi * T * T
 
 
+def _last_full_row(T: float) -> tuple[int, float]:
+    """(M, w) with M = floor(T) - 1 on the snapped radius and
+    w = sqrt(T**2 - M**2); InvalidParameter unless T >= 2."""
+    scaled_radius(1.0, T)
+    if not T >= 2:
+        raise InvalidParameter(f"need T >= 2, got {T}")
+    snapped, _ = snap_integer(T)
+    M = int(math.floor(snapped)) - 1
+    return M, math.sqrt((T - M) * (T + M))
+
+
 def chord_sum_error_bound(T: float) -> float:
     """Explicit bound B(T) with |chord_sum_error(T)| <= B(T) for T >= 2.
 
@@ -107,12 +115,7 @@ def chord_sum_error_bound(T: float) -> float:
     the sawtooth integral and the circular tail), and a further 4w covers the
     at most two |m| = floor(T) terms the truncation drops.
     """
-    require_positive("T", T)
-    if not T >= 2:
-        raise InvalidParameter(f"need T >= 2, got {T}")
-    snapped, _ = snap_integer(T)
-    M = int(math.floor(snapped)) - 1
-    w = math.sqrt((T - M) * (T + M))
+    M, w = _last_full_row(T)
     return M / (2.0 * w) + 8.0 * w
 
 
@@ -136,7 +139,7 @@ def count_decomposition(z: ShearPoint, T: float) -> DecompositionResult:
     sy = math.sqrt(z.y)
     x = shear_mod_one(z.x)
     main = 2.0 * sy * T + 4.0 * compensated_sum(hw)
-    osc = 2.0 * compensated_sum(_sawtooth_arr(hw + ms * x) + _sawtooth_arr(hw - ms * x))
+    osc = 2.0 * compensated_sum(sawtooth(hw + ms * x) + sawtooth(hw - ms * x))
     corr = 1.0 - 2.0 * frac_snapped(sy * T)
     return DecompositionResult(main_term=main, oscillatory=osc, correction=corr, total=main + osc + corr)
 
@@ -167,54 +170,46 @@ def remainder(z: ShearPoint, T: float) -> float:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-#: Agreement of successive panel doublings at which sawtooth_integral stops.
-_SAWTOOTH_TOL = 1e-10
+#: The Gauss nodes mapped to the unit interval [0, 1].
+_UNIT_NODES = 0.5 * (_GL_NODES + 1.0)
 
 
 def sawtooth_integral(T: float, M: int) -> float:
     """integral from 0 to M of d/dx sqrt(T**2 - x**2) * sawtooth(x) dx.
 
-    The integrand is analytic between consecutive integers (the sawtooth
-    breakpoints), so each unit interval is handled by a 64-point Gauss
-    rule, with panels doubled until successive refinements agree to 1e-10;
-    RangeExceeded is raised when 256 panels do not.  Satisfies
+    The integrand is analytic on each unit interval [m, m+1] (the sawtooth
+    is 1/2 - u there, u = x - m), so each takes one 64-node Gauss rule, and
+    math.fsum adds the M interval values.  The only singularity, x = T, lies
+    at least 1 past the last interval (M <= T - 1), 3 half-widths from its
+    centre, so the rule converges on a Bernstein ellipse with rho = 5 <
+    3 + 2*sqrt(2): the quadrature error is far below 1e-80 over all
+    intervals, and the value is exact to rounding.  Satisfies
     0 <= value <= M / (8*sqrt(T**2 - M**2)).
     """
-    if not (math.isfinite(T) and T >= 1):
+    scaled_radius(1.0, T)
+    if not T >= 1:
         raise InvalidParameter(f"need T >= 1, got {T}")
     M = require_integer("M", M, 0)
     if M > T - 1:
         raise InvalidParameter(f"need M <= T - 1, got M={M} for T={T}")
-    if M == 0:
-        return 0.0
-
-    def at_panels(panels: int) -> float:
-        total = 0.0
-        width = 1.0 / panels
-        for m in range(M):
-            for p in range(panels):
-                a = m + p * width
-                xs = 0.5 * width * _GL_NODES + (a + 0.5 * width)
-                vals = -xs / np.sqrt((T - xs) * (T + xs)) * (0.5 - (xs - m))
-                total += 0.5 * width * float(np.dot(_GL_WEIGHTS, vals))
-        return total
-
-    prev = at_panels(1)
-    for doublings in range(1, 9):
-        cur = at_panels(2**doublings)
-        if abs(cur - prev) < _SAWTOOTH_TOL:
-            return cur
-        prev = cur
-    raise RangeExceeded(f"sawtooth integral not converged to tol={_SAWTOOTH_TOL} after 256 panels at T={T}, M={M}")
+    # the Jacobian 1/2 and the sawtooth 1/2 - u at each unit node u
+    weights = 0.5 * _GL_WEIGHTS * (0.5 - _UNIT_NODES)
+    step = TEMP_ENTRIES // _UNIT_NODES.size
+    values: list[float] = []
+    for lo in range(0, M, step):
+        xs = np.arange(lo, min(lo + step, M), dtype=float)[:, None] + _UNIT_NODES
+        values.extend((-xs / np.sqrt((T - xs) * (T + xs)) @ weights).tolist())
+    return math.fsum(values)
 
 
 def circle_area_tail(T: float, a: float) -> float:
     """Closed form of the integral from a to T of sqrt(T**2 - x**2) dx."""
-    require_positive("T", T)
+    scaled_radius(1.0, T)
     if not (0 <= a <= T):
         raise InvalidParameter(f"need 0 <= a <= T, got a={a}, T={T}")
-    return 0.5 * T * T * (0.5 * math.pi - math.asin(a / T)) - 0.5 * a * math.sqrt((T - a) * (T + a))
+    w = math.sqrt((T - a) * (T + a))
+    # atan2(w, a), not pi/2 - asin(a/T), which cancels as a approaches T
+    return 0.5 * T * T * math.atan2(w, a) - 0.5 * a * w
 
 
 def chord_identity_residual(T: float) -> tuple[float, float, float]:
@@ -229,15 +224,10 @@ def chord_identity_residual(T: float) -> tuple[float, float, float]:
 
     and returns (lhs - rhs, integral value, integral upper bound M/(8w)).
     """
-    require_positive("T", T)
-    if not T >= 2:
-        raise InvalidParameter(f"need T >= 2, got {T}")
-    snapped, _ = snap_integer(T)
-    M = int(math.floor(snapped)) - 1
+    M, w = _last_full_row(T)
     ms = np.arange(1, M + 1, dtype=float)
     half_sum = 0.5 * (T + 2.0 * compensated_sum(np.sqrt(T - ms) * np.sqrt(T + ms)))
     lhs = 0.25 * math.pi * T * T - half_sum
-    w = math.sqrt((T - M) * (T + M))
     integral = sawtooth_integral(T, M)
     rhs = integral + circle_area_tail(T, M) - 0.5 * w
     return lhs - rhs, integral, M / (8.0 * w)
@@ -247,6 +237,7 @@ def inscribed_polygon_area(radius: int) -> float:
     """Shoelace area of the polygon with vertices (m, +-sqrt(R**2 - m**2))
     over integer |m| <= R; equals chord_length_sum(R) for integer R."""
     R = require_integer("radius", radius, 1)
+    scaled_radius(1.0, R)
     ms = np.arange(-R, R + 1, dtype=float)
     f = np.sqrt(R - ms) * np.sqrt(R + ms)
     # counterclockwise: upper arc right to left, lower arc left to right

@@ -42,9 +42,7 @@ def sample_tie_free_cases(
 ) -> list[tuple[float, float, float, int, int]]:
     """(x, y, T, enumerate count, rowslice count) with y in [0.5, 4], T in
     (1, tmax], resampled until both counting methods report zero boundary
-    ties; tmax must lie in (1, inf)."""
-    if not 1.0 < tmax < math.inf:
-        raise InvalidParameter(f"tmax must satisfy 1 < tmax < inf, got {tmax}")
+    ties; tmax must lie in (1, inf), which run_verification checks."""
     out = []
     while len(out) < cases:
         x = float(rng.uniform(0.0, 1.0))
@@ -68,6 +66,8 @@ def run_verification(seed: int = 42, cases: int = 500, tmax: float = 150.0) -> l
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
     if cases < 0:
         raise InvalidParameter(f"cases must be >= 0, got {cases}")
+    if not 1.0 < tmax < math.inf:
+        raise InvalidParameter(f"tmax must satisfy 1 < tmax < inf, got {tmax}")
     rng = np.random.Generator(np.random.PCG64(seed))
     checks: list[VerifyCheck] = []
     if cases == 0:

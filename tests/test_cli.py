@@ -304,6 +304,8 @@ def test_verify_rejects_bad_tmax_and_seed(flags):
 def test_verification_library_rejects_bad_tmax_and_seed():
     with pytest.raises(InvalidParameter, match="tmax"):
         run_verification(cases=1, tmax=math.inf)
+    with pytest.raises(InvalidParameter, match="tmax"):
+        run_verification(cases=0, tmax=1.0)
     with pytest.raises(InvalidParameter, match="seed"):
         run_verification(seed=-1, cases=1)
     with pytest.raises(InvalidParameter, match="cases"):

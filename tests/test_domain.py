@@ -1,6 +1,7 @@
 """Every public (y, T) or T-only entry point refuses a non-positive or
-non-finite height or radius with InvalidParameter, whatever layer it lives in,
-and the Fourier entry points refuse unbounded work with RangeExceeded."""
+non-finite height or radius with InvalidParameter, whatever layer it lives in;
+a radius-only entry point refuses a radius past 1e6 with RangeExceeded, and
+the Fourier entry points refuse unbounded work with RangeExceeded."""
 import math
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from shearcount import (
     InvalidParameter,
+    RangeExceeded,
     ShearPoint,
     SweepConfig,
     auto_truncation,
@@ -118,6 +120,13 @@ def test_bad_radius_at_a_shear_point_is_invalid(name, bad):
 def test_bad_radius_alone_is_invalid(name, bad):
     with pytest.raises(InvalidParameter):
         RADIUS_ONLY[name](bad)
+
+
+@pytest.mark.parametrize("name", sorted(RADIUS_ONLY))
+def test_radius_beyond_the_contract_is_refused(name):
+    # T = 1e12 is past the supported scaled radius 1e6: refused before any work
+    with pytest.raises(RangeExceeded):
+        RADIUS_ONLY[name](1e12)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from shearcount import (
     InvalidParameter,
-    RangeExceeded,
     ShearPoint,
     chord_identity_residual,
     chord_length_sum,
@@ -24,7 +25,6 @@ from shearcount import (
     sawtooth,
     sawtooth_integral,
 )
-from shearcount import formula
 
 SQ125 = math.sqrt(1.25)
 
@@ -35,6 +35,7 @@ def test_sawtooth_values():
     assert sawtooth(0.0) == 0.5
     assert sawtooth(0.25) == 0.25
     assert sawtooth(-0.25) == -0.25  # frac(-0.25) = 0.75
+    np.testing.assert_array_equal(sawtooth(np.array([0.0, 0.25, -0.25, 3.75])), [0.5, 0.25, -0.25, -0.25])
 
 
 @given(st.floats(-1e6, 1e6))
@@ -206,16 +207,17 @@ def test_sawtooth_integral_domain():
         sawtooth_integral(2.0, -1)
 
 
-def test_sawtooth_integral_refuses_an_unconverged_value(monkeypatch):
-    # a tolerance of 0 can never be met, so no value may be returned
-    monkeypatch.setattr(formula, "_SAWTOOTH_TOL", 0.0)
-    with pytest.raises(RangeExceeded, match=r"tol=0\.0.*T=3\.0, M=2"):
-        sawtooth_integral(3.0, 2)
-
-
 def test_circle_area_tail_quarter_disk():
     assert circle_area_tail(3.0, 0.0) == pytest.approx(math.pi * 9.0 / 4.0, rel=1e-15)
     assert circle_area_tail(3.0, 3.0) == 0.0
+
+
+@pytest.mark.parametrize("T", [1e4, 1e5, 1e6])
+def test_circle_area_tail_over_the_last_unit(T):
+    # integral from T - 1 to T of sqrt(2T s - s^2) ds, expanded in 1/T; the
+    # expansion is within 3e-15 of the exact value for T >= 1e4
+    want = math.sqrt(2.0 * T) * (2.0 / 3.0 - 1.0 / (10.0 * T) - 1.0 / (112.0 * T * T))
+    assert abs(circle_area_tail(T, T - 1.0) - want) <= 1e-9 * want
 
 
 @pytest.mark.parametrize("T", [5.0, 10.0, 50.0, 200.0])
@@ -228,6 +230,29 @@ def test_chord_identity(T):
 def test_chord_identity_example_t10():
     residual, _, _ = chord_identity_residual(10.0)
     assert abs(residual) < 1e-10
+
+
+# The identity's left side is pi*T**2/4 minus a sum of the same size, so its
+# rounding scale is eps * pi*T**2/4; the residual must stay within 8 of it.
+@pytest.mark.parametrize("T", [1e3, 1e4, 1e5])
+def test_chord_identity_at_large_radius(T):
+    residual, integral, bound = chord_identity_residual(T)
+    assert abs(residual) <= 8.0 * 2.0**-52 * 0.25 * math.pi * T * T
+    assert 0.0 <= integral <= bound
+
+
+def test_chord_identity_at_the_contract_edge():
+    # T = 1e6 in a subprocess with a timeout, so that a call that runs
+    # without bound fails the test
+    script = (
+        "import math\n"
+        "from shearcount import chord_identity_residual\n"
+        "residual, integral, bound = chord_identity_residual(1e6)\n"
+        "assert abs(residual) <= 8.0 * 2.0**-52 * 0.25 * math.pi * 1e12, residual\n"
+        "assert 0.0 <= integral <= bound, (integral, bound)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---- inscribed polygon ----
